@@ -29,7 +29,7 @@ struct ClusterSpec {
   /// lists node i's slot capacity vectors, must have exactly `nodes`
   /// entries, and `slots_per_node` is ignored.  Empty (the default) keeps
   /// the homogeneous {1,1,1}-capacity cluster every golden was recorded on.
-  std::vector<std::vector<Resources>> node_slots;
+  std::vector<std::vector<Resources>> node_slots{};
 
   std::uint32_t total_slots() const {
     if (node_slots.empty()) return nodes * slots_per_node;

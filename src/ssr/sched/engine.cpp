@@ -1,7 +1,8 @@
 #include "ssr/sched/engine.h"
 
 #include <algorithm>
-#include <sstream>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "ssr/common/check.h"
@@ -78,14 +79,17 @@ JobId Engine::submit(JobSpec spec) {
     SSR_CHECK_MSG(cluster_.fits_any_slot(graph.stage(i).demand),
                   "stage demand exceeds every slot capacity in the cluster");
   }
+  // The fair share orders the active-stage index; a NaN share would break it.
+  SSR_CHECK_MSG(config_.policy != SchedulingPolicy::Fair ||
+                    graph.spec().fair_weight > 0.0,
+                "fair weight must be positive");
   JobState& job = jobs_.emplace_back(std::move(graph));
-  job.unfinished_parents.resize(n);
+  job.stages.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    job.unfinished_parents[i] =
+    job.stages[i].unfinished_parents =
         static_cast<std::uint32_t>(job.graph.stage(i).parents.size());
+    job.stages[i].active_pos = active_.end();
   }
-  job.runtimes.resize(n, nullptr);
-  job.output_slots.resize(n);
 
   const SimTime at = job.graph.submit_time();
   sim_.schedule_at(at, EventBand::kArrival, [this, id] { arrive(id); });
@@ -166,14 +170,14 @@ std::uint32_t Engine::running_tasks_of(JobId job) const {
 
 StageRuntime* Engine::stage_runtime(StageId stage) {
   auto& job = state(stage.job);
-  if (stage.index >= job.runtimes.size()) return nullptr;
-  return job.runtimes[stage.index];
+  if (stage.index >= job.stages.size()) return nullptr;
+  return job.stages[stage.index].runtime;
 }
 
 const StageRuntime* Engine::stage_runtime(StageId stage) const {
   const auto& job = state(stage.job);
-  if (stage.index >= job.runtimes.size()) return nullptr;
-  return job.runtimes[stage.index];
+  if (stage.index >= job.stages.size()) return nullptr;
+  return job.stages[stage.index].runtime;
 }
 
 // --- Job lifecycle ----------------------------------------------------------
@@ -204,25 +208,25 @@ std::vector<double> Engine::draw_durations(const StageSpec& spec) {
 
 void Engine::submit_stage(JobId job, std::uint32_t stage_index) {
   JobState& js = state(job);
-  SSR_CHECK_MSG(js.runtimes[stage_index] == nullptr,
+  SSR_CHECK_MSG(js.stages[stage_index].runtime == nullptr,
                 "stage submitted more than once");
   const StageId sid = js.graph.stage_id(stage_index);
   const StageSpec& spec = js.graph.stage(stage_index);
 
   StageRuntime& stage = stage_arena_.emplace_back(sid, spec, sim_.now(),
                                                   draw_durations(spec));
-  js.runtimes[stage_index] = &stage;
+  js.stages[stage_index].runtime = &stage;
 
   // Data locality: downstream tasks prefer the slots that produced the
   // parents' outputs.
-  std::unordered_set<SlotId> preferred;
+  std::vector<SlotId> preferred;
   for (std::uint32_t p : spec.parents) {
-    const std::vector<SlotId>& outs = js.output_slots[p];
-    preferred.insert(outs.begin(), outs.end());
+    const std::vector<SlotId>& outs = js.stages[p].output_slots;
+    preferred.insert(preferred.end(), outs.begin(), outs.end());
   }
   stage.set_preferred_slots(std::move(preferred));
 
-  active_stages_.push_back(make_active(stage, js));
+  activate(stage, js);
   // Observers before the hook: a hook that reserves here (e.g. a static
   // carve-out replenishing) can synchronously start this stage's tasks, and
   // the submission event must precede those starts in the observer stream.
@@ -243,9 +247,10 @@ void Engine::on_stage_complete(StageRuntime& stage) {
     // failure invalidated it; the child's barrier cleared long ago and must
     // not be double-counted.  (In failure-free runs every child is
     // unsubmitted here, so this guard never fires.)
-    if (js.runtimes[child] != nullptr) continue;
-    SSR_CHECK(js.unfinished_parents[child] > 0);
-    if (--js.unfinished_parents[child] == 0) {
+    StageRecord& record = js.stages[child];
+    if (record.runtime != nullptr) continue;
+    SSR_CHECK(record.unfinished_parents > 0);
+    if (--record.unfinished_parents == 0) {
       submit_stage(stage.id().job, child);
     }
   }
@@ -257,48 +262,60 @@ void Engine::finish_job(JobId job) {
   js.finish_time = sim_.now();
   hook_->on_job_finished(*this, job);  // releases the job's reservations
   cluster_.forget_job_outputs(job);
-  js.output_slots.clear();
+  for (StageRecord& record : js.stages) record.output_slots = {};
   for (EngineObserver* o : observers_) o->on_job_finished(*this, job);
 }
 
 // --- Offers -----------------------------------------------------------------
 
-Engine::ActiveStage Engine::make_active(StageRuntime& stage,
-                                        const JobState& js) const {
+void Engine::activate(StageRuntime& stage, JobState& js) {
   // The selector score is sampled once, when the stage's task set becomes
   // active.  Selectors are pure functions of spec-level state (DAG shape,
   // expected durations, demand vectors), all fixed at submission, so caching
-  // is exact — and keeps the per-offer precedence scan free of virtual calls.
+  // is exact — and keeps the precedence compare free of virtual calls.
   const double score =
       config_.selector != nullptr
           ? config_.selector->stage_score(*this, stage.id())
           : 0.0;
-  return ActiveStage{&stage,
-                     &js,
-                     score,
-                     js.graph.priority(),
-                     js.graph.submit_time(),
-                     js.graph.spec().fair_weight,
-                     stage.id().job.v,
-                     stage.id().index};
+  SSR_CHECK_MSG(!std::isnan(score), "stage_score returned NaN");
+  js.stages[stage.id().index].active_pos =
+      active_
+          .insert(ActiveStage{&stage, score, js.graph.priority(),
+                              js.fair_share(), js.graph.submit_time(),
+                              stage.id().job.v, stage.id().index,
+                              activations_++})
+          .first;
+  note_armable(stage);
 }
 
-bool Engine::active_precedes(const ActiveStage& a, const ActiveStage& b) const {
+bool Engine::deactivate(StageRuntime& stage) {
+  auto& pos = state(stage.id().job).stages[stage.id().index].active_pos;
+  if (pos == active_.end()) return false;
+  active_.erase(pos);
+  pos = active_.end();
+  return true;
+}
+
+void Engine::rekey_fair_share(JobState& js) {
+  if (config_.policy != SchedulingPolicy::Fair) return;
+  for (StageRecord& record : js.stages) {
+    if (record.active_pos == active_.end()) continue;
+    auto node = active_.extract(record.active_pos);
+    node.value().fair_share = js.fair_share();
+    record.active_pos = active_.insert(std::move(node)).position;
+  }
+}
+
+bool Engine::Precedes::operator()(const ActiveStage& a,
+                                  const ActiveStage& b) const {
   // Selector scores outrank the built-in policy; with no selector installed
   // every score is the same 0.0 and this comparison vanishes, keeping the
   // default ordering byte-identical to the pre-selector engine.
   if (a.policy_score != b.policy_score) {
     return a.policy_score > b.policy_score;
   }
-  if (config_.policy == SchedulingPolicy::Fair) {
-    // The division must stay a division (not a cached reciprocal multiply):
-    // the fair share's exact ULPs participate in tie-breaking, and digests
-    // are bit-exact across storage layouts.
-    const double sa =
-        static_cast<double>(a.job->running_tasks) / a.fair_weight;
-    const double sb =
-        static_cast<double>(b.job->running_tasks) / b.fair_weight;
-    if (sa != sb) return sa < sb;
+  if (policy == SchedulingPolicy::Fair) {
+    if (a.fair_share != b.fair_share) return a.fair_share < b.fair_share;
   } else {
     if (a.priority != b.priority) return a.priority > b.priority;
   }
@@ -328,21 +345,44 @@ bool Engine::stage_accepts_slot(const StageRuntime& stage, SlotId slot) const {
 void Engine::offer_slot(SlotId slot) {
   const SlotState st = cluster_.slot(slot).state();
   if (st == SlotState::Busy || st == SlotState::Dead) return;
-  // Single linear pass over the cached-key table: find the policy-first
-  // stage that accepts this slot.  (Sorting all pending stages per offer
-  // would dominate large overloaded simulations; the precedence pre-filter
-  // runs on flat cached keys and skips the acceptance probe — and its
-  // arm_locality_retry side effect — for stages that cannot win, exactly as
-  // the pointer-chasing scan did.)
+  // Walk the index in precedence order: the first stage that accepts the
+  // slot wins, usually a few entries in.  Arming schedules an event whose
+  // sequence number orders same-instant events, so it must match the
+  // activation-ordered linear scan the goldens were recorded with: a
+  // rejecting stage is armed iff it precedes every accepting stage
+  // activated before it, and stages are armed in activation order
+  // (DESIGN.md §8).  Only armable stages qualify, so the walk goes past the
+  // winner only while armable stages remain below it.
+  std::erase_if(armable_, [this](const StageRuntime* stage) {
+    return !locality_retry_armable(*stage);
+  });
+  std::size_t armable_left = armable_.size();
   const ActiveStage* best = nullptr;
-  for (const ActiveStage& active : active_stages_) {
-    if (active.runtime->all_placed()) continue;
-    if (best != nullptr && !active_precedes(active, *best)) continue;
-    if (stage_accepts_slot(*active.runtime, slot)) {
-      best = &active;
-    } else {
-      arm_locality_retry(*active.runtime);
+  // Earliest activation among the accepting stages walked so far, which are
+  // exactly those preceding the current one.
+  std::uint64_t first_accepting = std::numeric_limits<std::uint64_t>::max();
+  std::vector<const ActiveStage*> to_arm;
+  for (const ActiveStage& active : active_) {
+    if (best != nullptr && armable_left == 0) break;
+    StageRuntime& stage = *active.runtime;
+    // A stage fully placed by a re-entrant start stays indexed until the
+    // outer start_attempt returns.
+    if (stage.all_placed()) continue;
+    const bool armable = armable_left > 0 && locality_retry_armable(stage);
+    armable_left -= armable ? 1 : 0;
+    if (stage_accepts_slot(stage, slot)) {
+      if (best == nullptr) best = &active;
+      first_accepting = std::min(first_accepting, active.activation);
+    } else if (armable && active.activation < first_accepting) {
+      to_arm.push_back(&active);
     }
+  }
+  std::sort(to_arm.begin(), to_arm.end(),
+            [](const ActiveStage* a, const ActiveStage* b) {
+              return a->activation < b->activation;
+            });
+  for (const ActiveStage* active : to_arm) {
+    arm_locality_retry(*active->runtime);
   }
   if (best != nullptr) {
     StageRuntime& stage = *best->runtime;
@@ -428,7 +468,7 @@ void Engine::place_stage_tasks(StageRuntime& stage) {
     // snapshot time can never become acceptable mid-loop.
     const auto& own = cluster_.reserved_idle_slots_of(job);
     candidates.assign(own.begin(), own.end());
-    for (SlotId s : stage.preferred_slots_sorted()) {
+    for (SlotId s : stage.preferred_slots()) {
       if (cluster_.slot(s).state() == SlotState::Idle) candidates.push_back(s);
     }
     if (stage.accepts_any_slot(sim_.now(), config_.locality_wait)) {
@@ -465,18 +505,32 @@ void Engine::place_stage_tasks(StageRuntime& stage) {
   arm_locality_retry(stage);
 }
 
+bool Engine::locality_retry_armable(const StageRuntime& stage) const {
+  // A stage with no preferred slot accepts any slot, and one whose relax
+  // time has passed already does.
+  return !stage.all_placed() && !stage.retry_timer_armed() &&
+         !stage.preferred_slots().empty() &&
+         stage.locality_relax_time(config_.locality_wait) > sim_.now();
+}
+
 void Engine::arm_locality_retry(StageRuntime& stage) {
-  if (stage.all_placed() || stage.retry_timer_armed()) return;
-  if (stage.preferred_slots().empty()) return;
-  const SimTime relax = stage.locality_relax_time(config_.locality_wait);
-  if (relax <= sim_.now()) return;  // already accepts any slot
+  if (!locality_retry_armable(stage)) return;
   stage.set_retry_timer_armed(true);
-  sim_.schedule_at(relax, [this, sid = stage.id()] {
+  sim_.schedule_at(stage.locality_relax_time(config_.locality_wait),
+                   [this, sid = stage.id()] {
     StageRuntime* st = stage_runtime(sid);
     if (st == nullptr) return;
     st->set_retry_timer_armed(false);
+    note_armable(*st);
     if (!st->all_placed()) place_stage_tasks(*st);
   });
+}
+
+void Engine::note_armable(StageRuntime& stage) {
+  if (locality_retry_armable(stage) &&
+      std::find(armable_.begin(), armable_.end(), &stage) == armable_.end()) {
+    armable_.push_back(&stage);
+  }
 }
 
 // --- Task execution ----------------------------------------------------------
@@ -499,6 +553,10 @@ void Engine::start_attempt(StageRuntime& stage, TaskAttempt& attempt,
   cluster_.start_task(slot, attempt.id, sim_.now());
   stage.mark_running(attempt, slot, sim_.now(), local);
   ++js.running_tasks;
+  rekey_fair_share(js);
+  // A local launch moves the relax time later, which can make the stage
+  // armable again.
+  if (local) note_armable(stage);
 
   // Passive observers see the event stream in cluster-transition order, so
   // they are notified before the hook, whose handler may itself transition
@@ -513,11 +571,10 @@ void Engine::start_attempt(StageRuntime& stage, TaskAttempt& attempt,
                        epoch = attempt.epoch] { handle_completion(sid, tid, epoch); });
 
   // Copies never change the pending queue; only the placement of the last
-  // original flips the stage to fully-placed.
-  if (attempt.id.attempt == 0 && stage.all_placed()) {
-    std::erase_if(active_stages_, [&stage](const ActiveStage& active) {
-      return active.runtime == &stage;
-    });
+  // original flips the stage to fully-placed.  The hook hears it once, from
+  // whichever start removes the stage: the hook call above may have
+  // re-entered placement and placed the stage's last task already.
+  if (attempt.id.attempt == 0 && stage.all_placed() && deactivate(stage)) {
     hook_->on_stage_fully_placed(*this, stage.id());
   }
 }
@@ -549,8 +606,9 @@ void Engine::handle_completion(StageId stage_id, TaskId task,
   JobState& js = state(stage_id.job);
   stage->mark_finished(*attempt, sim_.now());
   --js.running_tasks;
+  rekey_fair_share(js);
   cluster_.finish_task(attempt->slot, sim_.now());
-  js.output_slots[stage_id.index].push_back(attempt->slot);
+  js.stages[stage_id.index].output_slots.push_back(attempt->slot);
   // Observers must see the finish before the twin kill and before the hook
   // (which may immediately reserve the freed slot) — same ordering rule as
   // in start_attempt.
@@ -582,6 +640,7 @@ void Engine::kill_attempt(StageRuntime& stage, TaskAttempt& attempt) {
   cluster_.kill_task(attempt.slot, sim_.now());
   stage.mark_killed(attempt, sim_.now());
   --js.running_tasks;
+  rekey_fair_share(js);
   for (EngineObserver* o : observers_) {
     o->on_task_killed(*this, attempt.id, attempt.slot);
   }
@@ -688,6 +747,7 @@ void Engine::fail_slot_impl(SlotId slot, std::vector<StageRuntime*>& to_place) {
     cluster_.kill_task(slot, sim_.now());
     stage->mark_killed(*attempt, sim_.now());
     --js.running_tasks;
+    rekey_fair_share(js);
     for (EngineObserver* o : observers_) o->on_task_failed(*this, tid, slot);
     // No hook on_task_killed here: that callback exists so policies re-reserve
     // the warm slot a race loser vacated, and this slot is dying.
@@ -738,14 +798,14 @@ void Engine::invalidate_outputs(SlotId slot,
     if (js.finish_time >= 0.0) continue;  // job done; nobody reads the data
     // The locality index forgets the dead slot whether or not a re-run is
     // needed — child stages must stop preferring it.
-    std::erase(js.output_slots[sid.index], slot);
-    StageRuntime* stage = js.runtimes[sid.index];
+    std::erase(js.stages[sid.index].output_slots, slot);
+    StageRuntime* stage = js.stages[sid.index].runtime;
     SSR_CHECK_MSG(stage != nullptr, "resident output of unsubmitted stage");
     // Re-run lost producers only while some dependent stage still needs the
     // data: a child not yet submitted, or submitted but not complete.
     bool needed = false;
     for (std::uint32_t child : js.graph.children(sid.index)) {
-      const StageRuntime* c = js.runtimes[child];
+      const StageRuntime* c = js.stages[child].runtime;
       if (c == nullptr || !c->complete()) {
         needed = true;
         break;
@@ -773,7 +833,8 @@ void Engine::invalidate_outputs(SlotId slot,
       // free in this model) — only unsubmitted ones wait again.
       --js.finished_stages;
       for (std::uint32_t child : js.graph.children(sid.index)) {
-        if (js.runtimes[child] == nullptr) ++js.unfinished_parents[child];
+        StageRecord& record = js.stages[child];
+        if (record.runtime == nullptr) ++record.unfinished_parents;
       }
       for (EngineObserver* o : observers_) o->on_stage_invalidated(*this, sid);
     }
@@ -783,10 +844,10 @@ void Engine::invalidate_outputs(SlotId slot,
 }
 
 void Engine::ensure_active(StageRuntime& stage) {
-  for (const ActiveStage& active : active_stages_) {
-    if (active.runtime == &stage) return;
+  JobState& js = state(stage.id().job);
+  if (js.stages[stage.id().index].active_pos == active_.end()) {
+    activate(stage, js);
   }
-  active_stages_.push_back(make_active(stage, state(stage.id().job)));
 }
 
 void Engine::place_after_failure(const std::vector<StageRuntime*>& to_place) {

@@ -26,8 +26,8 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ssr/common/arena.h"
@@ -195,24 +195,66 @@ class Engine : public FailureSink {
   void recover_slot(SlotId slot) override;
 
  private:
+  /// One entry per active stage (one with pending tasks), keyed by the
+  /// policy order, so the per-offer walk — the hottest loop at fig15 scale
+  /// — usually stops after a few entries instead of visiting every active
+  /// stage.  Each entry flattens the stage's precedence keys; priority,
+  /// submit time, selector score and ids cannot change while the stage is
+  /// active, and the fair share is re-keyed whenever its job's
+  /// running_tasks moves.
+  struct ActiveStage {
+    StageRuntime* runtime;
+    double policy_score;       ///< StageSelector::stage_score; 0 if none
+    int priority;              ///< graph.priority()
+    double fair_share;         ///< running_tasks / fair_weight (Fair only)
+    double submit_time;        ///< graph.submit_time()
+    std::uint32_t job_raw;     ///< id().job.v — final FIFO tie-breaks
+    std::uint32_t stage_index; ///< id().index
+    /// Activation count (0, 1, 2, ...): the stage's position in an
+    /// activation-ordered list, which fixes arming (offer_slot).
+    std::uint64_t activation;
+  };
+  /// Policy order over the cached keys: selector score, then fair share (or
+  /// priority), then submit time, then job id, then stage index — a strict
+  /// total order, since (job, stage) is unique.
+  struct Precedes {
+    SchedulingPolicy policy;
+    bool operator()(const ActiveStage& a, const ActiveStage& b) const;
+  };
+  using ActiveIndex = std::set<ActiveStage, Precedes>;
+
+  /// Per-stage bookkeeping, one array per job (a single allocation at
+  /// submit, where setup time is spent).
+  struct StageRecord {
+    /// Created at submission; nullptr until the stage's barrier clears.
+    /// The records live in the engine's stage arena (stable addresses,
+    /// chunked allocation).
+    StageRuntime* runtime = nullptr;
+    /// Number of parent stages not yet finished.
+    std::uint32_t unfinished_parents = 0;
+    /// Slots on which the stage's tasks completed (the locality index
+    /// consumed by child-stage submission).  Job-local, so teardown is
+    /// proportional to the job, not to all jobs ever run.
+    std::vector<SlotId> output_slots;
+    /// The stage's entry in the active-stage index, or its end() while the
+    /// stage is not active.
+    ActiveIndex::iterator active_pos;
+  };
+
   struct JobState {
     explicit JobState(JobGraph g) : graph(std::move(g)) {}
     JobGraph graph;
     SimTime finish_time = -1.0;
     std::uint32_t finished_stages = 0;
     std::uint32_t running_tasks = 0;
-    /// Per stage: number of parent stages not yet finished.
-    std::vector<std::uint32_t> unfinished_parents;
-    /// Per stage: runtime, created at submission; nullptr until the stage's
-    /// barrier clears.  The records live in the engine's stage arena
-    /// (stable addresses, chunked allocation).
-    std::vector<StageRuntime*> runtimes;
-    /// Per stage index: slots on which the stage's tasks completed (the
-    /// locality index consumed by child-stage submission).  Dense by stage
-    /// index and job-local, so lookups are an array deref and teardown is
-    /// proportional to the job, not to all jobs ever run.
-    std::vector<std::vector<SlotId>> output_slots;
+    std::vector<StageRecord> stages;  ///< by stage index
     bool done() const { return finished_stages == graph.num_stages(); }
+    /// Running tasks per fair-share weight.  The division must stay a
+    /// division (not a cached reciprocal multiply): the share's exact ULPs
+    /// participate in tie-breaking, and digests are bit-exact.
+    double fair_share() const {
+      return static_cast<double>(running_tasks) / graph.spec().fair_weight;
+    }
   };
 
   JobState& state(JobId job) { return jobs_.at(job.v); }
@@ -225,6 +267,10 @@ class Engine : public FailureSink {
   std::vector<double> draw_durations(const StageSpec& spec);
 
   /// Offer one freed slot to pending task sets; at most one task starts.
+  /// Walks the active-stage index in precedence order and starts the first
+  /// stage that accepts the slot.  The locality-retry timers the walk arms
+  /// on rejecting stages reproduce those of a scan over every active stage
+  /// in activation order (see the definition).
   void offer_slot(SlotId slot);
 
   /// Let a stage greedily grab every available slot it can use.
@@ -258,12 +304,27 @@ class Engine : public FailureSink {
   void recover_slot_impl(SlotId slot);
   /// Resurrect finished tasks whose outputs were resident on `slot`.
   void invalidate_outputs(SlotId slot, std::vector<StageRuntime*>& to_place);
-  /// Re-insert a stage into active_stages_ if it is not there already.
+  /// Re-insert a stage into the active-stage index if it is not there.
   void ensure_active(StageRuntime& stage);
   /// Offer pending work to the cluster for each distinct stage, in order.
   void place_after_failure(const std::vector<StageRuntime*>& to_place);
 
+  // --- Active-stage index -------------------------------------------------
+
+  void activate(StageRuntime& stage, JobState& js);
+  /// Remove `stage` from the index; false if it was not there (an inner,
+  /// re-entrant start_attempt already removed it).
+  bool deactivate(StageRuntime& stage);
+  /// Fair policy: re-key the active stages of `js` after its running_tasks
+  /// moved.  No-op under Priority.
+  void rekey_fair_share(JobState& js);
+
+  /// Would arm_locality_retry schedule a timer for `stage` right now?
+  bool locality_retry_armable(const StageRuntime& stage) const;
   void arm_locality_retry(StageRuntime& stage);
+  /// Record `stage` in armable_ if it is armable (call wherever a stage may
+  /// have become so: activation, its timer firing, a local launch).
+  void note_armable(StageRuntime& stage);
 
   bool is_local(const StageRuntime& stage, SlotId slot) const;
 
@@ -275,37 +336,19 @@ class Engine : public FailureSink {
   Cluster cluster_;
   Rng rng_;
 
-  /// Job records by raw job id; arena-backed so JobState addresses are
-  /// stable (ActiveStage caches them) without one heap object per job.
+  /// Job records by raw job id; arena-backed so a JobState& held across a
+  /// callback survives a submit() made inside it, without one heap object
+  /// per job.
   Arena<JobState> jobs_;
   /// Stage runtimes in submission order, arena-backed for the same reason:
-  /// attempt events, the active-stage table, and JobState::runtimes all hold
+  /// attempt events, the active-stage index, and StageRecord::runtime hold
   /// raw StageRuntime pointers across the engine's lifetime.
   Arena<StageRuntime> stage_arena_;
-  /// One entry per stage with pending tasks, in submission order — a
-  /// struct-of-cached-keys table.  The runtime and job-state pointers are
-  /// stable for the engine's lifetime (both arena-backed), and
-  /// every policy key that cannot change while a stage is active (priority,
-  /// submit time, fair weight, ids) is flattened into the entry, so the
-  /// per-offer precedence scan — the hottest loop at fig15 scale — touches
-  /// one contiguous array plus a single `running_tasks` load per entry
-  /// instead of chasing runtime -> id -> job -> graph -> spec.
-  struct ActiveStage {
-    StageRuntime* runtime;
-    const JobState* job;       ///< for the (mutable) running_tasks share load
-    double policy_score;       ///< StageSelector::stage_score; 0 if none
-    int priority;              ///< graph.priority()
-    double submit_time;        ///< graph.submit_time()
-    double fair_weight;        ///< graph.spec().fair_weight
-    std::uint32_t job_raw;     ///< id().job.v — final FIFO tie-breaks
-    std::uint32_t stage_index; ///< id().index
-  };
-  std::vector<ActiveStage> active_stages_;
-
-  ActiveStage make_active(StageRuntime& stage, const JobState& js) const;
-  /// Policy order over cached keys: fair share (or priority), then
-  /// submit time, then job id, then stage index — a total order.
-  bool active_precedes(const ActiveStage& a, const ActiveStage& b) const;
+  ActiveIndex active_ = ActiveIndex(Precedes{config_.policy});
+  std::uint64_t activations_ = 0;
+  /// Stages that may be armable (locality_retry_armable), pruned lazily at
+  /// each offer.  Every armable stage is in it.  Usually empty.
+  std::vector<StageRuntime*> armable_;
 
   /// Reusable candidate buffer for place_stage_tasks (capacity persists
   /// across calls; moved out during use so any unexpected re-entry degrades

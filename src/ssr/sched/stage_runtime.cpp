@@ -15,6 +15,7 @@ StageRuntime::StageRuntime(StageId id, const StageSpec& spec,
   SSR_CHECK_MSG(durations.size() == spec.num_tasks,
                 "one duration per task required");
   originals_.reserve(spec.num_tasks);
+  pending_.reserve(spec.num_tasks);
   for (std::uint32_t i = 0; i < spec.num_tasks; ++i) {
     TaskAttempt attempt;
     attempt.id = TaskId{id_, i, /*attempt=*/0};
@@ -22,17 +23,28 @@ StageRuntime::StageRuntime(StageId id, const StageSpec& spec,
     originals_.push_back(attempt);
     pending_.push_back(i);
   }
+  done_.resize(spec.num_tasks, false);
 }
 
 std::optional<std::uint32_t> StageRuntime::peek_pending() const {
-  if (pending_.empty()) return std::nullopt;
-  return pending_.front();
+  if (all_placed()) return std::nullopt;
+  return pending_[pending_head_];
 }
 
 void StageRuntime::take_pending(std::uint32_t task_index) {
-  auto it = std::find(pending_.begin(), pending_.end(), task_index);
+  const auto head = pending_.begin() + pending_head_;
+  const auto it = std::find(head, pending_.end(), task_index);
   SSR_CHECK_MSG(it != pending_.end(), "task not pending");
-  pending_.erase(it);
+  if (it == head) {
+    ++pending_head_;
+  } else {
+    pending_.erase(it);
+  }
+  // Fully placed: give the buffer back; a failure re-queue starts a new one.
+  if (all_placed()) {
+    pending_ = {};
+    pending_head_ = 0;
+  }
 }
 
 std::vector<std::uint32_t> StageRuntime::running_task_indices() const {
@@ -115,7 +127,8 @@ void StageRuntime::resurrect(std::uint32_t task_index) {
   original.slot = SlotId{};
   original.local = false;
   ++original.epoch;
-  if (done_.erase(task_index) > 0) {
+  if (done_[task_index]) {
+    done_[task_index] = false;
     SSR_CHECK(finished_ > 0);
     --finished_;
   }
@@ -140,9 +153,9 @@ void StageRuntime::mark_finished(TaskAttempt& attempt, SimTime now) {
   attempt.state = AttemptState::Finished;
   attempt.finish_time = now;
   if (attempt.id.attempt == 0) --running_originals_;
-  const bool first_completion_of_task = !done_.contains(attempt.id.index);
+  const bool first_completion_of_task = !done_[attempt.id.index];
   if (first_completion_of_task) {
-    done_.insert(attempt.id.index);
+    done_[attempt.id.index] = true;
     ++finished_;
     if (!first_finish_duration_) {
       first_finish_duration_ = now - attempt.start_time;
@@ -158,10 +171,11 @@ void StageRuntime::mark_killed(TaskAttempt& attempt, SimTime now) {
   if (attempt.id.attempt == 0) --running_originals_;
 }
 
-void StageRuntime::set_preferred_slots(std::unordered_set<SlotId> preferred) {
+void StageRuntime::set_preferred_slots(std::vector<SlotId> preferred) {
+  std::sort(preferred.begin(), preferred.end());
+  preferred.erase(std::unique(preferred.begin(), preferred.end()),
+                  preferred.end());
   preferred_ = std::move(preferred);
-  preferred_sorted_.assign(preferred_.begin(), preferred_.end());
-  std::sort(preferred_sorted_.begin(), preferred_sorted_.end());
 }
 
 bool StageRuntime::accepts_any_slot(SimTime now,

@@ -7,10 +7,10 @@
 // only accepts arbitrary slots after `locality_wait` has elapsed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "ssr/common/ids.h"
@@ -50,9 +50,9 @@ class StageRuntime {
   std::uint32_t finished_count() const { return finished_; }
   std::uint32_t running_originals() const { return running_originals_; }
   std::uint32_t pending_count() const {
-    return static_cast<std::uint32_t>(pending_.size());
+    return static_cast<std::uint32_t>(pending_.size()) - pending_head_;
   }
-  bool all_placed() const { return pending_.empty(); }
+  bool all_placed() const { return pending_head_ == pending_.size(); }
   bool complete() const { return finished_ == spec_->num_tasks; }
 
   /// Fraction of original tasks finished — drives the pre-reservation
@@ -123,24 +123,21 @@ class StageRuntime {
 
   /// True if the logical task (any attempt) has already finished.
   bool task_done(std::uint32_t task_index) const {
-    return done_.contains(task_index);
+    return done_.at(task_index);
   }
 
   // --- Delay scheduling ----------------------------------------------------
 
-  /// Slots that hold a parent stage's output (preferred, data-local).
-  const std::unordered_set<SlotId>& preferred_slots() const {
-    return preferred_;
-  }
-  void set_preferred_slots(std::unordered_set<SlotId> preferred);
-  bool is_preferred(SlotId slot) const { return preferred_.contains(slot); }
-
-  /// The preferred slots in ascending id order.  The hot path walks this
-  /// instead of filtering the whole idle set, so candidate enumeration is
-  /// proportional to the stage's locality footprint; the sorted order keeps
-  /// it bit-identical with an id-ordered idle-set scan.
-  const std::vector<SlotId>& preferred_slots_sorted() const {
-    return preferred_sorted_;
+  /// Slots that hold a parent stage's output (preferred, data-local), in
+  /// ascending id order.  The hot path walks this instead of filtering the
+  /// whole idle set, so candidate enumeration is proportional to the
+  /// stage's locality footprint; the sorted order keeps it bit-identical
+  /// with an id-ordered idle-set scan.
+  const std::vector<SlotId>& preferred_slots() const { return preferred_; }
+  /// Takes the parents' output slots in any order, duplicates included.
+  void set_preferred_slots(std::vector<SlotId> preferred);
+  bool is_preferred(SlotId slot) const {
+    return std::binary_search(preferred_.begin(), preferred_.end(), slot);
   }
 
   /// Whether the task set currently accepts slots without locality.  True
@@ -162,17 +159,22 @@ class StageRuntime {
   const StageSpec* spec_;
   SimTime submitted_at_;
 
+  // Stage runtimes live for the engine's lifetime, so these stay compact:
+  // a fig15-scale run keeps over ten thousand of them.
   std::vector<TaskAttempt> originals_;
-  std::deque<TaskAttempt> copies_;  // deque: stable references on growth
-  std::deque<std::uint32_t> pending_;
-  std::unordered_set<std::uint32_t> done_;
+  // list: stable references on growth (a hook may launch another copy while
+  // the engine still holds one), and no allocation until the first copy.
+  std::list<TaskAttempt> copies_;
+  // FIFO of unplaced task indices, live from pending_head_ on.
+  std::vector<std::uint32_t> pending_;
+  std::uint32_t pending_head_ = 0;
+  std::vector<bool> done_;  ///< by task index
 
   std::uint32_t finished_ = 0;
   std::uint32_t running_originals_ = 0;
   std::optional<double> first_finish_duration_;
 
-  std::unordered_set<SlotId> preferred_;
-  std::vector<SlotId> preferred_sorted_;
+  std::vector<SlotId> preferred_;  ///< sorted, unique
   SimTime last_local_launch_;
   bool retry_timer_armed_ = false;
 };

@@ -181,6 +181,9 @@ class ReservationHook {
 
   /// ApprovalLogic (Algorithm 1, TryAllocateTask): may `job` with `priority`
   /// start a task on `slot`?  Must return true for unreserved idle slots.
+  /// Must have no side effects: which stages an offer probes, and how often,
+  /// is the engine's business (its precedence-ordered walk stops at the
+  /// first stage that accepts, so it asks fewer stages than a full scan).
   virtual bool approve(const Engine& engine, SlotId slot, JobId job,
                        int priority) const = 0;
 

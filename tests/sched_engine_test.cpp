@@ -3,6 +3,8 @@
 // behavior the paper's Sec. II characterizes.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <vector>
 
 #include "ssr/common/check.h"
@@ -252,6 +254,28 @@ TEST(Engine, ApiMisuseThrows) {
   EXPECT_THROW(engine.submit(JobBuilder("k").stage(1, fixed_duration(1.0)).build()),
                CheckError);  // submit after run
   EXPECT_THROW(engine.set_reservation_hook(nullptr), CheckError);
+}
+
+// The active-stage index is ordered by these keys, so a key that has no
+// order (a NaN fair share or selector score) is rejected, not indexed.
+TEST(Engine, UnorderableStageKeysAreRejected) {
+  SchedConfig fair_cfg = quick_sched();
+  fair_cfg.policy = SchedulingPolicy::Fair;
+  Engine fair(fair_cfg, 1, 1, 1);
+  JobSpec weightless = JobBuilder("w").stage(1, fixed_duration(1.0)).build();
+  weightless.fair_weight = 0.0;
+  EXPECT_THROW(fair.submit(weightless), CheckError);
+
+  struct NanSelector final : StageSelector {
+    double stage_score(const Engine&, StageId) const override {
+      return std::nan("");
+    }
+  };
+  SchedConfig scored_cfg = quick_sched();
+  scored_cfg.selector = std::make_shared<NanSelector>();
+  Engine scored(scored_cfg, 1, 1, 1);
+  scored.submit(JobBuilder("s").stage(1, fixed_duration(1.0)).build());
+  EXPECT_THROW(scored.run(), CheckError);
 }
 
 TEST(Engine, TaskStatsCountLocality) {
