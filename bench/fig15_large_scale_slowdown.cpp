@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
       for (int pass = 0; pass < 2; ++pass) {
         RunOptions o;
         o.sched = sched;
-        args.apply_to(o.sched);
         o.seed = args.seed;
         if (pass == 1) {
           o.ssr = SsrConfig{};

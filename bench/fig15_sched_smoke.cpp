@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
     RunOptions o;
     o.sched.locality_wait = 3.0;
     o.sched.locality_slowdown = 5.0;
-    args.apply_to(o.sched);
     o.seed = args.seed;
     if (pass == 1) {
       o.ssr = SsrConfig{};

@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
   std::vector<Trial> grid;
   for (ZooPolicy policy : policies) {
     RunOptions options;
-    args.apply_to(options.sched);
     options.seed = args.seed;
     apply_zoo_policy(policy, cluster, options);
     const std::string name = zoo_policy_name(policy);

@@ -1,16 +1,8 @@
 // Perf smoke at 10x the Fig. 15 cluster: 10k nodes / 40k slots / ~1M tasks.
 //
-// Fig. 15 stops at 1000 nodes; this bench is the scale target the sharded
-// engine core exists for (DESIGN.md §13).  One trace-shaped contended cell
-// runs three times: without SSR, with SSR, and with SSR on the sharded
-// calendar-queue engine (calendar backend, 4 shard lanes) — the last pass
-// pins the parallel hot path so a regression there cannot hide behind the
-// sequential heap numbers.  All passes honor --queue/--shards except the
-// final one, whose engine configuration is the point of the record.
-//
-// Output is bit-identical across backends and shard counts (the ssr and
-// ssr_cal4 passes assert this on task totals), so the records differ only
-// in wall time.  Default --scale is 1: the whole binary is a few seconds
+// Fig. 15 stops at 1000 nodes; this bench runs the engine (DESIGN.md §13)
+// at ten times that.  One trace-shaped contended cell runs twice: without
+// SSR and with SSR.  Default --scale is 1: the whole binary is a few seconds
 // of wall time on CI-class hardware, which is exactly what the perf-smoke
 // job diffs against bench/baselines/BENCH_sched.json.
 #include <cstdint>
@@ -29,7 +21,6 @@ namespace {
 struct Pass {
   const char* name;
   bool ssr;
-  bool force_sharded;  ///< calendar backend + 4 shard lanes, ignoring args
 };
 
 }  // namespace
@@ -46,22 +37,15 @@ int main(int argc, char** argv) {
             << " background jobs (scale 1/" << args.scale << ")\n";
 
   constexpr Pass kPasses[] = {
-      {"sched_10k/nossr", false, false},
-      {"sched_10k/ssr", true, false},
-      {"sched_10k/ssr_cal4", true, true},
+      {"sched_10k/nossr", false},
+      {"sched_10k/ssr", true},
   };
 
   BenchReporter report;
-  std::uint64_t ssr_tasks = 0;
   for (const Pass& pass : kPasses) {
     RunOptions o;
     o.sched.locality_wait = 3.0;
     o.sched.locality_slowdown = 5.0;
-    args.apply_to(o.sched);
-    if (pass.force_sharded) {
-      o.sched.event_queue_backend = EventQueueBackend::kCalendar;
-      o.sched.event_shards = 4;
-    }
     o.seed = args.seed;
     if (pass.ssr) {
       o.ssr = SsrConfig{};
@@ -85,18 +69,6 @@ int main(int argc, char** argv) {
     const WallTimer timer;
     const RunResult run = run_scenario(cluster, std::move(jobs), o);
     const double wall = timer.elapsed_seconds();
-
-    // The sharded pass must simulate the exact same work as the sequential
-    // ssr pass — shard count is a pure performance knob.
-    if (pass.ssr && !pass.force_sharded) {
-      ssr_tasks = run.task_totals.tasks_started;
-    } else if (pass.force_sharded &&
-               run.task_totals.tasks_started != ssr_tasks) {
-      std::cerr << "FATAL: sharded pass diverged from sequential ssr pass ("
-                << run.task_totals.tasks_started << " vs " << ssr_tasks
-                << " tasks)\n";
-      return 1;
-    }
 
     BenchRecord rec;
     rec.name = pass.name;

@@ -115,21 +115,6 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
       args.bench_json = value_of(i);
     } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
       args.metrics_json = value_of(i);
-    } else if (std::strcmp(argv[i], "--queue") == 0) {
-      const std::string v = value_of(i);
-      if (v == "heap") {
-        args.queue = EventQueueBackend::kBinaryHeap;
-      } else if (v == "calendar") {
-        args.queue = EventQueueBackend::kCalendar;
-      } else {
-        SSR_CHECK_MSG(false, "--queue must be 'heap' or 'calendar', got '"
-                                 << v << "'");
-      }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const std::uint64_t shards = parse_u64_arg("--shards", value_of(i));
-      SSR_CHECK_MSG(shards >= 1 && shards <= 256,
-                    "--shards must be in [1, 256]");
-      args.shards = static_cast<std::uint32_t>(shards);
     } else if (std::strcmp(argv[i], "--policy") == 0) {
       args.policy = value_of(i);
       SSR_CHECK_MSG(parse_zoo_policy(args.policy).has_value(),
@@ -141,8 +126,7 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
                                << argv[i]
                                << "' (expected --scale, --seed, --jobs, "
                                   "--csv, --json, --bench-json, "
-                                  "--metrics-json, --queue, --shards, or "
-                                  "--policy)");
+                                  "--metrics-json, or --policy)");
     }
   }
   return args;

@@ -150,12 +150,12 @@ inline double slowdown(double measured_jct, double alone) {
 }
 
 /// Parse "--scale N", "--seed S", "--jobs N", "--csv F", "--json F",
-/// "--bench-json F", "--metrics-json F", "--queue B", "--shards N",
-/// "--policy P" overrides from a bench's argv.  scale divides workload sizes so CI
-/// machines can run the large-scale simulations faster; 1 reproduces the
-/// paper-scale setup.  jobs sets the sweep worker-pool size (0 = one worker
-/// per hardware core).  Malformed or out-of-range values and unknown flags
-/// throw CheckError with a message naming the offending argument.
+/// "--bench-json F", "--metrics-json F", "--policy P" overrides from a
+/// bench's argv.  scale divides workload sizes so CI machines can run the
+/// large-scale simulations faster; 1 reproduces the paper-scale setup.  jobs
+/// sets the sweep worker-pool size (0 = one worker per hardware core).
+/// Malformed or out-of-range values and unknown flags throw CheckError with a
+/// message naming the offending argument.
 struct BenchArgs {
   double scale = 1.0;
   bool scale_set = false;  ///< whether --scale was passed explicitly
@@ -169,12 +169,6 @@ struct BenchArgs {
   /// When set, benches that keep a MetricsRegistry export it here as
   /// ssr-metrics-v1 JSON (metrics/registry.h) next to their other outputs.
   std::string metrics_json;
-  /// Event-queue backend ("--queue heap|calendar") and shard count
-  /// ("--shards N") applied to every run's SchedConfig via apply_to().
-  /// Output is bit-identical across all values — both are pure performance
-  /// knobs (DESIGN.md §13).
-  EventQueueBackend queue = EventQueueBackend::kBinaryHeap;
-  std::uint32_t shards = 1;
   /// Scheduling-policy selection ("--policy NAME").  Empty = the bench's
   /// own default.  Benches that honour it resolve the name through
   /// exp/policy_zoo.h (parse_zoo_policy validates at parse time).
@@ -183,11 +177,6 @@ struct BenchArgs {
   static BenchArgs parse(int argc, char** argv);
   /// value / scale, at least 1 (for counts).
   std::uint32_t scaled(std::uint32_t value) const;
-  /// Copy the queue/shard selection into a run's scheduler config.
-  void apply_to(SchedConfig& sched) const {
-    sched.event_queue_backend = queue;
-    sched.event_shards = shards;
-  }
 };
 
 }  // namespace ssr

@@ -27,8 +27,6 @@ void validate_sched_config(const SchedConfig& config) {
 Engine::Engine(SchedConfig config, std::uint32_t num_nodes,
                std::uint32_t slots_per_node, std::uint64_t seed)
     : config_(config),
-      sim_(EventQueueOptions{config.event_queue_backend, config.event_shards,
-                             num_nodes}),
       cluster_(num_nodes, slots_per_node),
       rng_(seed),
       hook_(std::make_unique<NullReservationHook>()) {
@@ -39,8 +37,6 @@ Engine::Engine(SchedConfig config,
                const std::vector<std::vector<Resources>>& node_slots,
                std::uint64_t seed)
     : config_(config),
-      sim_(EventQueueOptions{config.event_queue_backend, config.event_shards,
-                             static_cast<std::uint32_t>(node_slots.size())}),
       cluster_(node_slots),
       rng_(seed),
       hook_(std::make_unique<NullReservationHook>()) {
@@ -52,8 +48,6 @@ Engine::Engine(SchedConfig config, std::uint32_t num_nodes,
                const std::vector<std::vector<Resources>>& node_slots,
                std::uint64_t seed)
     : config_(config),
-      sim_(EventQueueOptions{config.event_queue_backend, config.event_shards,
-                             num_nodes}),
       cluster_(node_slots.empty() ? Cluster(num_nodes, slots_per_node)
                                   : Cluster(node_slots)),
       rng_(seed),
@@ -192,17 +186,7 @@ void Engine::arrive(JobId job) {
 std::vector<double> Engine::draw_durations(const StageSpec& spec) {
   if (spec.explicit_durations) return *spec.explicit_durations;
   std::vector<double> out(spec.num_tasks);
-  double shortest = kTimeInfinity;
-  for (double& d : out) {
-    d = spec.duration->sample(rng_);
-    shortest = std::min(shortest, d);
-  }
-  if (!out.empty()) {
-    // Conservative-lookahead hint for the sharded event queue: any attempt of
-    // this stage completes at least this far after it starts (locality only
-    // slows tasks down), bounding how soon "now" can grow a completion event.
-    sim_.note_event_spacing(shortest + config_.task_overhead);
-  }
+  for (double& d : out) d = spec.duration->sample(rng_);
   return out;
 }
 
@@ -564,11 +548,10 @@ void Engine::start_attempt(StageRuntime& stage, TaskAttempt& attempt,
   for (EngineObserver* o : observers_) o->on_task_started(*this, attempt.id, slot);
   hook_->on_task_started(*this, attempt.id, slot);
 
-  // Completion events are the bulk of the queue at scale; home them on the
-  // executing slot's node so the sharded queue spreads them across lanes.
-  sim_.schedule_after(runtime, cluster_.slot(slot).node(),
-                      [this, sid = stage.id(), tid = attempt.id,
-                       epoch = attempt.epoch] { handle_completion(sid, tid, epoch); });
+  sim_.schedule_after(runtime, [this, sid = stage.id(), tid = attempt.id,
+                                epoch = attempt.epoch] {
+    handle_completion(sid, tid, epoch);
+  });
 
   // Copies never change the pending queue; only the placement of the last
   // original flips the stage to fully-placed.  The hook hears it once, from
@@ -660,8 +643,7 @@ void Engine::reserve_slot(SlotId slot, Reservation reservation) {
     o->on_slot_reserved(*this, slot, reservation);
   }
   if (deadline < kTimeInfinity) {
-    sim_.schedule_at(deadline, EventBand::kInternal,
-                     cluster_.slot(slot).node(), [this, slot, token] {
+    sim_.schedule_at(deadline, EventBand::kInternal, [this, slot, token] {
       if (cluster_.release_if_current(slot, token, sim_.now())) {
         for (EngineObserver* o : observers_) {
           o->on_reservation_released(*this, slot,

@@ -14,7 +14,6 @@
 
 #include "ssr/common/ids.h"
 #include "ssr/common/time.h"
-#include "ssr/sim/event_queue_options.h"
 
 namespace ssr {
 
@@ -98,17 +97,6 @@ struct SchedConfig {
   /// Per-task fixed scheduling overhead added to every attempt's runtime.
   /// Models driver latency; keeps zero-length phases from being free.
   SimDuration task_overhead = 0.0;
-
-  /// Event-queue storage backend (heap / calendar).  Purely a performance
-  /// knob: both implement the identical (time, band, seq) total order, so
-  /// every digest and trace is bit-identical between them by construction
-  /// (enforced by the shard-determinism suite).
-  EventQueueBackend event_queue_backend = EventQueueBackend::kBinaryHeap;
-
-  /// Event-queue shard count (per-node-group lanes with worker-thread
-  /// maintenance).  1 = classic single-lane queue, no threads.  Output is
-  /// bit-identical for every value — a tested contract, see DESIGN.md §13.
-  std::uint32_t event_shards = 1;
 };
 
 /// Everything the reservation hook needs to know about a finished (or

@@ -1,510 +1,38 @@
 #include "ssr/sim/event_queue.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "ssr/common/check.h"
 
 namespace ssr {
 
-namespace {
-
-// Calendar-queue tuning.  All constants are performance knobs: the total
-// order popped out is independent of every one of them (the shard
-// determinism and heap-vs-calendar differential suites enforce that).
-constexpr std::size_t kMinBuckets = 16;
-constexpr std::size_t kMaxBuckets = 1u << 16;
-constexpr double kFarYears = 64.0;  ///< bucket horizon, in years, per rebuild
-/// Safety cap on the relative bucket index; anything further out is overflow
-/// regardless of far_floor (keeps float->int conversions in-range even for
-/// adversarial time values).
-constexpr double kMaxRelIndex = 4.0e15;
-/// Driver drains the heap-lane staging buffer itself past this size, so a
-/// stalled worker can never grow it without bound.
-constexpr std::size_t kStagingFlushLimit = 4096;
-
-}  // namespace
-
-EventQueue::EventQueue(const EventQueueOptions& opts) : opts_(opts) {
-  if (opts_.shards == 0) opts_.shards = 1;
-  const std::size_t nlanes =
-      opts_.shards > 1 ? static_cast<std::size_t>(opts_.shards) + 1 : 1;
-  lanes_.reserve(nlanes);
-  for (std::size_t i = 0; i < nlanes; ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
-    if (opts_.backend == EventQueueBackend::kCalendar) {
-      lanes_.back()->buckets.resize(kMinBuckets);
-    }
-  }
-  // One worker per shard lane; the central lane (index 0: arrivals, failure
-  // schedules, locality retries) stays driver-maintained — it carries a
-  // small fraction of the traffic, and giving it a worker would only add a
-  // thread to contend with.
-  if (opts_.shards > 1) {
-    workers_.reserve(opts_.shards);
-    for (std::size_t i = 1; i < nlanes; ++i) {
-      Lane* ln = lanes_[i].get();
-      ln->staged_mode = opts_.backend == EventQueueBackend::kBinaryHeap;
-      workers_.emplace_back([this, ln] { worker_main(*ln); });
-    }
-  }
-}
-
-EventQueue::~EventQueue() {
-  shutdown_.store(true, std::memory_order_release);
-  for (auto& ln : lanes_) {
-    {
-      // Empty critical section: pairs the flag store with the workers'
-      // predicate check so no worker can miss the final notify.
-      std::scoped_lock lk(ln->mu);
-    }
-    ln->cv.notify_all();
-  }
-  for (std::thread& t : workers_) t.join();
-}
-
-// --- Push -------------------------------------------------------------------
-
 void EventQueue::push(SimTime at, Callback fn) {
-  push(at, EventBand::kInternal, NodeId{0}, std::move(fn));
+  push(at, EventBand::kInternal, std::move(fn));
 }
 
 void EventQueue::push(SimTime at, EventBand band, Callback fn) {
-  push(at, band, NodeId{0}, std::move(fn));
-}
-
-void EventQueue::push(SimTime at, EventBand band, NodeId home, Callback fn) {
   SSR_CHECK_MSG(static_cast<bool>(fn), "event callback required");
-  // The sequence number is global across lanes and assigned on the driver
-  // thread, which is the whole determinism argument: the merged order
-  // (at, band, seq) is a total order independent of lane assignment.
-  Event ev{at, band, next_seq_++, std::move(fn)};
-  lane_push(lane_for(home), std::move(ev));
-  ++size_;
+  heap_.push_back(Event{at, band, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
-
-EventQueue::Lane& EventQueue::lane_for(NodeId home) {
-  if (lanes_.size() == 1) return *lanes_[0];
-  if (opts_.num_nodes == 0 || home.v >= opts_.num_nodes) return *lanes_[0];
-  // Contiguous node groups: nodes [g*n/k, (g+1)*n/k) share lane g+1.
-  const std::uint64_t g = static_cast<std::uint64_t>(home.v) *
-                          opts_.shards / opts_.num_nodes;
-  return *lanes_[static_cast<std::size_t>(g) + 1];
-}
-
-void EventQueue::lane_push(Lane& ln, Event ev) {
-  std::scoped_lock lk(ln.mu);
-  if (opts_.backend == EventQueueBackend::kCalendar) {
-    cal_insert(ln, std::move(ev));
-    return;
-  }
-  if (!ln.staged_mode) {
-    ln.heap.push_back(std::move(ev));
-    std::push_heap(ln.heap.begin(), ln.heap.end(), Later{});
-    return;
-  }
-  const EventKey k = key_of(ev);
-  ln.staging.push_back(std::move(ev));
-  if (!ln.staged_min_valid || key_earlier(k, ln.staged_min)) {
-    ln.staged_min = k;
-    ln.staged_min_valid = true;
-  }
-  if (ln.staging.size() >= kStagingFlushLimit) {
-    for (Event& e : ln.staging) {
-      ln.heap.push_back(std::move(e));
-      std::push_heap(ln.heap.begin(), ln.heap.end(), Later{});
-    }
-    ln.staging.clear();
-    ln.staged_min_valid = false;
-  }
-}
-
-// --- Peek / pop -------------------------------------------------------------
 
 SimTime EventQueue::next_time() const {
-  SimTime best = kTimeInfinity;
-  bool have = false;
-  for (const auto& ln : lanes_) {
-    const std::optional<EventKey> k = lane_min_key(*ln);
-    if (k.has_value() && (!have || k->at < best)) {
-      best = k->at;
-      have = true;
-    }
-  }
-  return have ? best : kTimeInfinity;
+  return heap_.empty() ? kTimeInfinity : heap_.front().at;
 }
 
 std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
-  SSR_CHECK_MSG(size_ != 0, "pop from empty event queue");
-  std::size_t best_lane = lanes_.size();
-  EventKey best{};
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const std::optional<EventKey> k = lane_min_key(*lanes_[i]);
-    if (k.has_value() &&
-        (best_lane == lanes_.size() || key_earlier(*k, best))) {
-      best = *k;
-      best_lane = i;
-    }
-  }
-  SSR_CHECK_MSG(best_lane != lanes_.size(), "event count out of sync");
-  Event ev = lane_extract_min(*lanes_[best_lane]);
-  --size_;
+  SSR_CHECK_MSG(!heap_.empty(), "pop from empty event queue");
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
   return {ev.at, std::move(ev.fn)};
 }
 
 std::optional<std::pair<SimTime, EventQueue::Callback>>
 EventQueue::pop_if_at_or_before(SimTime horizon) {
-  if (size_ == 0 || next_time() > horizon) return std::nullopt;
+  if (heap_.empty() || heap_.front().at > horizon) return std::nullopt;
   return pop();
-}
-
-void EventQueue::note_spacing_hint(SimDuration spacing) {
-  if (!(spacing > 0.0)) return;
-  double cur = spacing_hint_.load(std::memory_order_relaxed);
-  if (cur == 0.0 || spacing < cur) {
-    spacing_hint_.store(spacing, std::memory_order_relaxed);
-  }
-}
-
-// --- Per-lane minimum -------------------------------------------------------
-
-std::optional<EventQueue::EventKey> EventQueue::lane_min_key(Lane& ln) const {
-  std::scoped_lock lk(ln.mu);
-  if (opts_.backend == EventQueueBackend::kBinaryHeap) {
-    std::optional<EventKey> k;
-    if (!ln.heap.empty()) k = key_of(ln.heap.front());
-    if (ln.staged_min_valid &&
-        (!k.has_value() || key_earlier(ln.staged_min, *k))) {
-      k = ln.staged_min;
-    }
-    return k;
-  }
-  if (ln.count == 0) {
-    if (ln.overflow.empty()) return std::nullopt;
-    bool any_finite = false;
-    for (const Event& e : ln.overflow) {
-      if (e.at < kTimeInfinity) {
-        any_finite = true;
-        break;
-      }
-    }
-    if (any_finite) {
-      // The bucket array drained down to the far-future population: rebuild
-      // the calendar around it (new origin/width), pulling the near ones in.
-      cal_rebuild(ln, ln.buckets.size());
-    } else {
-      if (!ln.overflow_sorted) {
-        std::sort(ln.overflow.begin(), ln.overflow.end(), DescKey{});
-        ln.overflow_sorted = true;
-      }
-      return key_of(ln.overflow.back());
-    }
-  }
-  cal_locate_min(ln);
-  return ln.min_key;
-}
-
-EventQueue::Event EventQueue::lane_extract_min(Lane& ln) {
-  std::scoped_lock lk(ln.mu);
-  if (opts_.backend == EventQueueBackend::kBinaryHeap) {
-    const bool staged_wins =
-        ln.staged_min_valid &&
-        (ln.heap.empty() || key_earlier(ln.staged_min, key_of(ln.heap.front())));
-    if (staged_wins) {
-      std::size_t idx = ln.staging.size();
-      for (std::size_t i = 0; i < ln.staging.size(); ++i) {
-        if (ln.staging[i].seq == ln.staged_min.seq) {
-          idx = i;
-          break;
-        }
-      }
-      SSR_CHECK_MSG(idx != ln.staging.size(), "staged minimum out of sync");
-      Event ev = std::move(ln.staging[idx]);
-      ln.staging[idx] = std::move(ln.staging.back());
-      ln.staging.pop_back();
-      ln.staged_min_valid = false;
-      for (const Event& e : ln.staging) {
-        const EventKey k = key_of(e);
-        if (!ln.staged_min_valid || key_earlier(k, ln.staged_min)) {
-          ln.staged_min = k;
-          ln.staged_min_valid = true;
-        }
-      }
-      return ev;
-    }
-    SSR_CHECK_MSG(!ln.heap.empty(), "pop from empty event lane");
-    std::pop_heap(ln.heap.begin(), ln.heap.end(), Later{});
-    Event ev = std::move(ln.heap.back());
-    ln.heap.pop_back();
-    return ev;
-  }
-
-  // Calendar.
-  if (ln.count == 0) {
-    SSR_CHECK_MSG(!ln.overflow.empty(), "pop from empty event lane");
-    bool any_finite = false;
-    for (const Event& e : ln.overflow) {
-      if (e.at < kTimeInfinity) {
-        any_finite = true;
-        break;
-      }
-    }
-    if (!any_finite) {
-      if (!ln.overflow_sorted) {
-        std::sort(ln.overflow.begin(), ln.overflow.end(), DescKey{});
-        ln.overflow_sorted = true;
-      }
-      Event ev = std::move(ln.overflow.back());
-      ln.overflow.pop_back();
-      return ev;
-    }
-    cal_rebuild(ln, ln.buckets.size());
-  }
-  cal_locate_min(ln);
-  Bucket& b = ln.buckets[ln.min_bucket];
-  sort_bucket(b);
-  Event ev = std::move(b.events.back());
-  b.events.pop_back();
-  --ln.count;
-  ln.min_valid = false;
-  if (ln.buckets.size() > kMinBuckets && ln.count < ln.buckets.size() / 4) {
-    cal_rebuild(ln, ln.buckets.size() / 2);
-  } else if (!b.events.empty() &&
-             rel_index(ln, b.events.back().at) <= ln.cur_abs) {
-    // The same bucket still holds the lane minimum (the cursor is parked on
-    // it); keep the cache warm so consecutive pops skip the scan.
-    ln.min_valid = true;
-    ln.min_key = key_of(b.events.back());
-    // min_bucket unchanged.
-  }
-  return ev;
-}
-
-// --- Calendar internals (lane mutex held) -----------------------------------
-
-void EventQueue::sort_bucket(Bucket& b) {
-  if (!b.sorted) {
-    std::sort(b.events.begin(), b.events.end(), DescKey{});
-    b.sorted = true;
-  }
-}
-
-std::int64_t EventQueue::rel_index(const Lane& ln, double at) {
-  return static_cast<std::int64_t>(std::floor((at - ln.origin) / ln.width));
-}
-
-std::size_t EventQueue::bucket_of(const Lane& ln, std::int64_t abs_index) {
-  // Power-of-two size: two's-complement & is a correct mod for negatives.
-  return static_cast<std::size_t>(
-      abs_index & static_cast<std::int64_t>(ln.buckets.size() - 1));
-}
-
-void EventQueue::cal_insert(Lane& ln, Event ev) {
-  const double rel = (ev.at - ln.origin) / ln.width;
-  if (!(ev.at < ln.far_floor) || rel >= kMaxRelIndex) {
-    // Far-future or non-finite: keep it out of the bucket index arithmetic.
-    // Every bucket event is earlier than every overflow event, so overflow
-    // only participates once the buckets drain (and a rebuild re-homes it).
-    if (!ln.overflow.empty() && ln.overflow_sorted &&
-        !key_earlier(key_of(ev), key_of(ln.overflow.back()))) {
-      ln.overflow_sorted = false;
-    }
-    ln.overflow.push_back(std::move(ev));
-    if (ln.overflow.size() <= 1) ln.overflow_sorted = true;
-    return;
-  }
-  if (rel <= -kMaxRelIndex) {
-    // Extreme past relative to the current origin/width (tiny width, event
-    // far before the origin): the index arithmetic would overflow.  Park it
-    // in overflow and rebuild immediately — the rebuild recomputes origin as
-    // the pool minimum, so the re-insert lands at rel 0.  Never recurses:
-    // rebuild-driven inserts always see rel >= 0.
-    ln.overflow.push_back(std::move(ev));
-    ln.overflow_sorted = ln.overflow.size() <= 1;
-    cal_rebuild(ln, ln.buckets.size());
-    return;
-  }
-  const std::int64_t relb = static_cast<std::int64_t>(std::floor(rel));
-  Bucket& b = ln.buckets[bucket_of(ln, relb)];
-  if (!b.events.empty() && b.sorted &&
-      !key_earlier(key_of(ev), key_of(b.events.back()))) {
-    b.sorted = false;
-  }
-  const EventKey k = key_of(ev);
-  b.events.push_back(std::move(ev));
-  if (b.events.size() == 1) b.sorted = true;
-  ++ln.count;
-
-  if (ln.count == 1) {
-    // First bucket event: park the cursor on it.
-    ln.cur_abs = relb;
-  } else if (relb < ln.cur_abs) {
-    // Earlier than the cursor's window: a classic calendar queue moves the
-    // dequeue position back, otherwise the forward year scan would walk
-    // right past this event.
-    ln.cur_abs = relb;
-  }
-  if (ln.min_valid && key_earlier(k, ln.min_key)) ln.min_valid = false;
-  if (ln.count > 2 * ln.buckets.size() && ln.buckets.size() < kMaxBuckets) {
-    cal_rebuild(ln, ln.buckets.size() * 2);
-  }
-}
-
-void EventQueue::cal_locate_min(Lane& ln) {
-  if (ln.min_valid) return;
-  SSR_CHECK_MSG(ln.count != 0, "locate_min on empty calendar");
-  const std::size_t n = ln.buckets.size();
-  // Year scan: walk buckets from the cursor; the first event whose own
-  // rel_index is inside the cursor's advancing window is the lane minimum
-  // (events of later years fail the index check and wait for the wrap).
-  for (std::size_t steps = 0; steps <= n; ++steps) {
-    Bucket& b = ln.buckets[bucket_of(ln, ln.cur_abs)];
-    if (!b.events.empty()) {
-      sort_bucket(b);
-      if (rel_index(ln, b.events.back().at) <= ln.cur_abs) {
-        ln.min_valid = true;
-        ln.min_key = key_of(b.events.back());
-        ln.min_bucket = bucket_of(ln, ln.cur_abs);
-        return;
-      }
-    }
-    ++ln.cur_abs;
-  }
-  // A whole year was empty: jump straight to the global minimum (sparse
-  // population / large gap).  Linear min per bucket, no sorting.
-  std::size_t best_bucket = n;
-  EventKey best{};
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const Event& e : ln.buckets[i].events) {
-      const EventKey k = key_of(e);
-      if (best_bucket == n || key_earlier(k, best)) {
-        best = k;
-        best_bucket = i;
-      }
-    }
-  }
-  SSR_CHECK_MSG(best_bucket != n, "calendar count out of sync");
-  ln.min_valid = true;
-  ln.min_key = best;
-  ln.min_bucket = best_bucket;
-  ln.cur_abs = rel_index(ln, best.at);
-}
-
-void EventQueue::cal_rebuild(Lane& ln, std::size_t nbuckets) {
-  nbuckets = std::max(kMinBuckets, std::min(kMaxBuckets, nbuckets));
-  std::vector<Event> pool;
-  pool.reserve(ln.count + ln.overflow.size());
-  for (Bucket& b : ln.buckets) {
-    for (Event& e : b.events) pool.push_back(std::move(e));
-    b.events.clear();
-    b.sorted = true;
-  }
-  std::vector<Event> far;
-  far.reserve(ln.overflow.size());
-  for (Event& e : ln.overflow) {
-    if (e.at < kTimeInfinity) {
-      pool.push_back(std::move(e));
-    } else {
-      far.push_back(std::move(e));
-    }
-  }
-  ln.overflow = std::move(far);
-  ln.overflow_sorted = ln.overflow.size() <= 1;
-  ln.count = 0;
-  ln.min_valid = false;
-  ln.buckets.clear();
-  ln.buckets.resize(nbuckets);
-
-  if (pool.empty()) {
-    ln.origin = 0.0;
-    ln.width = 1.0;
-    ln.far_floor = kTimeInfinity;
-    ln.cur_abs = 0;
-    return;
-  }
-
-  double lo = pool.front().at;
-  double hi = pool.front().at;
-  for (const Event& e : pool) {
-    lo = std::min(lo, e.at);
-    hi = std::max(hi, e.at);
-  }
-  // Width targets ~3 events per occupied bucket; the lower clamp keeps the
-  // relative bucket index within exact int64 range even for extreme
-  // timestamps, the upper guard keeps the arithmetic finite.
-  const double span = hi - lo;
-  double width = span > 0.0
-                     ? 3.0 * span / static_cast<double>(pool.size())
-                     : 1.0;
-  width = std::max(width, (std::abs(hi) + 1.0) * 1e-12);
-  if (!(width < kTimeInfinity)) width = 1.0;
-  ln.width = width;
-  ln.origin = lo;
-  ln.far_floor =
-      lo + width * static_cast<double>(nbuckets) * kFarYears;
-  ln.cur_abs = 0;
-  for (Event& e : pool) cal_insert(ln, std::move(e));
-  // cal_insert parked the cursor on the earliest event via the regression
-  // rule; nothing else to fix up.
-}
-
-// --- Worker threads ---------------------------------------------------------
-
-bool EventQueue::do_maintenance(Lane& ln) {
-  if (ln.staged_mode) {
-    if (ln.staging.empty()) return false;
-    for (Event& e : ln.staging) {
-      ln.heap.push_back(std::move(e));
-      std::push_heap(ln.heap.begin(), ln.heap.end(), Later{});
-    }
-    ln.staging.clear();
-    ln.staged_min_valid = false;
-    return true;
-  }
-  if (opts_.backend != EventQueueBackend::kCalendar) return false;
-  // Presort dirty buckets inside the conservative-lookahead window past the
-  // driver cursor.  The window is derived from the engine's event-spacing
-  // hint (minimum drawn task duration): completion events always land at
-  // least that far beyond "now", so buckets inside the window can only
-  // receive the rare near-term event (retries, expiries) and sorting them is
-  // almost never wasted.  Correctness never depends on this: sorting is
-  // idempotent and the driver sorts on demand anyway.
-  const std::size_t n = ln.buckets.size();
-  const double hint = spacing_hint_.load(std::memory_order_relaxed);
-  std::size_t window = n / 4;
-  if (hint > 0.0 && ln.width > 0.0) {
-    const double w = hint / ln.width;
-    if (w < static_cast<double>(window)) {
-      window = static_cast<std::size_t>(w);
-    }
-  }
-  window = std::max<std::size_t>(window, 1);
-  window = std::min(window, n - 1);
-  const std::size_t cur = bucket_of(ln, ln.cur_abs);
-  for (std::size_t j = 1; j <= window; ++j) {
-    Bucket& b = ln.buckets[(cur + j) & (n - 1)];
-    if (!b.sorted && b.events.size() > 1) {
-      sort_bucket(b);
-      return true;  // one bucket per lock hold; yield to the driver
-    }
-  }
-  if (!ln.overflow_sorted && ln.overflow.size() > 1) {
-    std::sort(ln.overflow.begin(), ln.overflow.end(), DescKey{});
-    ln.overflow_sorted = true;
-    return true;
-  }
-  return false;
-}
-
-void EventQueue::worker_main(Lane& ln) {
-  std::unique_lock<std::mutex> lk(ln.mu);
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    if (!do_maintenance(ln)) {
-      ln.cv.wait_for(lk, std::chrono::microseconds(200));
-    }
-  }
 }
 
 }  // namespace ssr

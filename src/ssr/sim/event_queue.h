@@ -1,27 +1,17 @@
-// Min-time event queue for the discrete-event engine.
-//
-// One API, two storage backends (binary heap / calendar queue) and an
-// optional per-node-group shard layer — all implementing the same total
-// order (time, band, insertion sequence), so pop order is bit-identical
-// across every backend x shard-count combination by construction.  See
-// DESIGN.md §13 for the determinism argument and the threading model.
+// Min-time event queue for the discrete-event engine: one binary heap
+// ordered by (time, band, insertion sequence), a total order, so pop order
+// never depends on heap layout.  See DESIGN.md §13.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "ssr/common/ids.h"
 #include "ssr/common/time.h"
-#include "ssr/sim/event_queue_options.h"
 
 namespace ssr {
 
@@ -135,51 +125,22 @@ enum class EventBand : std::uint8_t {
 /// (band, insertion order): a monotone sequence number breaks ties within a
 /// band, which makes runs deterministic regardless of floating-point
 /// coincidences.
-///
-/// Sharding: with opts.shards > 1 the queue keeps one central lane plus one
-/// lane per node group, and events pushed with a home node are stored in
-/// that group's lane.  The sequence number is global and assigned at push
-/// time, so the driver's pop — an argmin over lane heads under the full
-/// (time, band, seq) order — returns exactly the event a single-lane queue
-/// would have: lane assignment can never reorder anything.  One worker
-/// thread per shard lane performs deferred storage maintenance (heap-lane
-/// staging drains, calendar bucket presorts) behind the lane's mutex; that
-/// maintenance moves no event between lanes and never changes a lane's
-/// minimum, so worker progress is invisible to pop order and the queue stays
-/// bit-deterministic under any thread schedule (the shard determinism suite
-/// and the TSan CI leg enforce this).
-///
-/// All public methods are driver-thread-only; the worker threads are an
-/// internal implementation detail.
 class EventQueue {
  public:
   using Callback = UniqueCallback;
 
-  EventQueue() : EventQueue(EventQueueOptions{}) {}
-  explicit EventQueue(const EventQueueOptions& opts);
-  ~EventQueue();
-
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-
-  void push(SimTime at, Callback fn);  ///< kInternal band, central lane
+  void push(SimTime at, Callback fn);  ///< kInternal band
   void push(SimTime at, EventBand band, Callback fn);
-  /// Route the event to `home`'s node-group lane (falls back to the central
-  /// lane when sharding is off).  Ordering is unaffected by the choice —
-  /// homing is purely a storage/maintenance locality hint.
-  void push(SimTime at, EventBand band, NodeId home, Callback fn);
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
-  /// Time of the earliest pending event; kTimeInfinity when empty.
+  /// Time of the earliest pending event; kTimeInfinity when empty.  The
+  /// bounded-advance contract peeks here before popping, so an
+  /// advance-to-horizon loop stops *without* removing an event past the
+  /// horizon (popping and re-pushing would move the event to the back of its
+  /// same-instant band and reorder ties).
   SimTime next_time() const;
-
-  /// Alias of next_time() under the name the bounded-advance contract uses:
-  /// peek before popping, so an advance-to-horizon loop can stop *without*
-  /// removing an event past the horizon (popping and re-pushing would move
-  /// the event to the back of its same-instant band and reorder ties).
-  SimTime peek_time() const { return next_time(); }
 
   /// Removes and returns the earliest event.  Precondition: !empty().
   std::pair<SimTime, Callback> pop();
@@ -191,18 +152,6 @@ class EventQueue {
   std::optional<std::pair<SimTime, Callback>> pop_if_at_or_before(
       SimTime horizon);
 
-  EventQueueBackend backend() const { return opts_.backend; }
-  std::uint32_t shards() const { return opts_.shards; }
-
-  /// Conservative-lookahead hint: a lower bound on the delay between "now"
-  /// and the completion events the engine schedules (the minimum drawn task
-  /// duration — the barrier event-time structure).  Workers use it to size
-  /// how far past the driver cursor calendar buckets are worth presorting:
-  /// buckets inside the hint window cannot receive new completion events, so
-  /// sorting them is never wasted.  Purely a performance knob — correctness
-  /// and pop order never depend on it (presorting is idempotent).
-  void note_spacing_hint(SimDuration spacing);
-
  private:
   struct Event {
     SimTime at;
@@ -210,17 +159,6 @@ class EventQueue {
     std::uint64_t seq;
     Callback fn;
   };
-  struct EventKey {
-    SimTime at;
-    EventBand band;
-    std::uint64_t seq;
-  };
-  static bool key_earlier(const EventKey& a, const EventKey& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.band != b.band) return a.band < b.band;
-    return a.seq < b.seq;
-  }
-  static EventKey key_of(const Event& e) { return EventKey{e.at, e.band, e.seq}; }
   /// Heap comparator ("later than"): min-heap via std::push_heap/pop_heap.
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -229,101 +167,9 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  /// Descending sort order for calendar buckets: the bucket minimum sits at
-  /// the back, so extraction is a pop_back.
-  struct DescKey {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.band != b.band) return a.band > b.band;
-      return a.seq > b.seq;
-    }
-  };
 
-  struct Bucket {
-    std::vector<Event> events;
-    bool sorted = true;  ///< descending by key (min at back) when true
-  };
-
-  /// One event lane.  All fields below `mu` are guarded by `mu`; the driver
-  /// and the lane's worker thread both take it for every access.
-  struct Lane {
-    mutable std::mutex mu;
-    mutable std::condition_variable cv;
-
-    // --- binary-heap backend ------------------------------------------------
-    std::vector<Event> heap;  ///< flat min-heap under Later
-    /// Driver-side push buffer when a worker serves this lane: the driver
-    /// appends O(1) and the worker folds entries into `heap`; the lane
-    /// minimum is min(heap front, staged_min), so draining is invisible.
-    std::vector<Event> staging;
-    bool staged_min_valid = false;
-    EventKey staged_min{};
-    /// True on heap-backend shard lanes: pushes go to `staging` and the
-    /// worker folds them into `heap`.  Single-lane queues push straight into
-    /// the heap (no worker exists to drain for them).
-    bool staged_mode = false;
-
-    // --- calendar backend ---------------------------------------------------
-    std::vector<Bucket> buckets;
-    double origin = 0.0;  ///< time of bucket index 0 (set at rebuild)
-    double width = 1.0;   ///< bucket time width
-    /// Driver scan cursor as an *absolute* bucket index — the value
-    /// rel_index() assigns, before the mod-n wrap.  An event belongs to the
-    /// cursor's window iff rel_index(event) <= cur_abs; both sides evaluate
-    /// the identical floor((at - origin) / width) expression, so the check
-    /// is exact.  (A floating "bucket top" accumulated with += width rounds
-    /// differently from the insert-side index and can skip an event sitting
-    /// within one ulp of its bucket boundary for a whole wrap — a real,
-    /// order-inverting bug the shard determinism suite caught.)
-    std::int64_t cur_abs = 0;
-    std::size_t count = 0;  ///< events resident in buckets
-    /// Far-future/non-finite events, kept out of the bucket array so bucket
-    /// index arithmetic never sees +inf or a time years beyond the live
-    /// population.  Invariant: every bucket event's time < far_floor <=
-    /// every overflow event's time, so overflow only matters once the
-    /// buckets drain (which triggers a rebuild around the overflow).
-    std::vector<Event> overflow;
-    bool overflow_sorted = true;  ///< descending by key (min at back)
-    double far_floor = kTimeInfinity;
-    /// Cached minimum (valid => buckets[min_bucket] holds the lane minimum
-    /// with key min_key; the bucket may still need a sort before the min is
-    /// physically at the back).
-    bool min_valid = false;
-    EventKey min_key{};
-    std::size_t min_bucket = 0;
-  };
-
-  Lane& lane_for(NodeId home);
-  void lane_push(Lane& ln, Event ev);
-  std::optional<EventKey> lane_min_key(Lane& ln) const;
-  Event lane_extract_min(Lane& ln);
-
-  // Calendar internals (all called with ln.mu held; static — they touch
-  // only the lane, which lets const peeks trigger lazy rebuilds).
-  /// Absolute bucket index of a time, shared by insert, scan, and cursor
-  /// regression so bucket membership is decided by one expression.
-  /// Precondition: |(at - origin) / width| < kMaxRelIndex.
-  static std::int64_t rel_index(const Lane& ln, double at);
-  /// buckets[] slot of an absolute index (size is always a power of two).
-  static std::size_t bucket_of(const Lane& ln, std::int64_t abs_index);
-  static void cal_insert(Lane& ln, Event ev);
-  static void cal_locate_min(Lane& ln);
-  static void cal_rebuild(Lane& ln, std::size_t nbuckets);
-  static void sort_bucket(Bucket& b);
-
-  bool do_maintenance(Lane& ln);
-  void worker_main(Lane& ln);
-
-  EventQueueOptions opts_;
-  /// unique_ptr elements: Lane holds a mutex (immovable) and worker threads
-  /// capture lane addresses, so lanes must never relocate.
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> shutdown_{false};
-  std::atomic<double> spacing_hint_{0.0};
-
+  std::vector<Event> heap_;  ///< flat min-heap under Later
   std::uint64_t next_seq_ = 0;
-  std::size_t size_ = 0;
 };
 
 }  // namespace ssr

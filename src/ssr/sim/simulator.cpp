@@ -15,20 +15,9 @@ void Simulator::schedule_at(SimTime at, EventBand band, Callback fn) {
   queue_.push(at, band, std::move(fn));
 }
 
-void Simulator::schedule_at(SimTime at, EventBand band, NodeId home,
-                            Callback fn) {
-  SSR_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
-  queue_.push(at, band, home, std::move(fn));
-}
-
 void Simulator::schedule_after(SimDuration delay, Callback fn) {
   SSR_CHECK_MSG(delay >= 0.0, "negative delay");
   queue_.push(now_ + delay, std::move(fn));
-}
-
-void Simulator::schedule_after(SimDuration delay, NodeId home, Callback fn) {
-  SSR_CHECK_MSG(delay >= 0.0, "negative delay");
-  queue_.push(now_ + delay, EventBand::kInternal, home, std::move(fn));
 }
 
 bool Simulator::step() {

@@ -17,11 +17,6 @@ class Simulator {
  public:
   using Callback = EventQueue::Callback;
 
-  Simulator() = default;
-  /// Select the event-queue backend / shard layout.  Pop order — and thus
-  /// every simulation outcome — is bit-identical across all option values.
-  explicit Simulator(const EventQueueOptions& opts) : queue_(opts) {}
-
   /// Current simulated time.  Starts at 0.
   SimTime now() const { return now_; }
 
@@ -31,19 +26,9 @@ class Simulator {
   /// stepping API reproduces closed-batch tie-breaking exactly.
   void schedule_at(SimTime at, Callback fn);
   void schedule_at(SimTime at, EventBand band, Callback fn);
-  /// Homed variant: stores the event in `home`'s shard lane when sharding is
-  /// on.  Purely a storage-locality hint — ordering is unaffected.
-  void schedule_at(SimTime at, EventBand band, NodeId home, Callback fn);
 
   /// Schedule `fn` after `delay` (>= 0) simulated seconds.
   void schedule_after(SimDuration delay, Callback fn);
-  void schedule_after(SimDuration delay, NodeId home, Callback fn);
-
-  /// Forward a conservative event-spacing bound to the queue's worker
-  /// threads (see EventQueue::note_spacing_hint).
-  void note_event_spacing(SimDuration spacing) {
-    queue_.note_spacing_hint(spacing);
-  }
 
   /// Run one event.  Returns false when the queue is empty.
   bool step();
@@ -65,7 +50,7 @@ class Simulator {
   void run_until(SimTime horizon);
 
   /// Time of the earliest pending event; kTimeInfinity when idle.
-  SimTime next_event_time() const { return queue_.peek_time(); }
+  SimTime next_event_time() const { return queue_.next_time(); }
 
   std::size_t processed_events() const { return processed_; }
   std::size_t pending_events() const { return queue_.size(); }

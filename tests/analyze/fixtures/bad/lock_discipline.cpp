@@ -1,15 +1,9 @@
-// Seeded bugs: (1) `count_` is read/written under `mu_` in push() but
-// touched with no lock in size_hint() — a race once a second thread
-// exists.  (2) `ShardLane` carries its own mutex (the sharded-engine
-// worker-state pattern): the worker drains `pending` under the lane's
-// lock, but the driver's fast path reads it through a local reference
-// with no lock at all.
-// Expected: ssr-analyze flags [lock-discipline] at both unguarded
-// accesses.
+// Seeded bug: `count_` is read/written under `mu_` in push() but touched
+// with no lock in size_hint() — a race once a second thread exists.
+// Expected: ssr-analyze flags [lock-discipline] at the unguarded access.
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <vector>
 
 namespace fixture {
 
@@ -29,31 +23,6 @@ class BadQueue {
   mutable std::mutex mu_;
   std::deque<int> items_;
   std::size_t count_ = 0;
-};
-
-// Per-shard worker state guarded by its own mutex, reached through
-// locals — the enclosing class owns no mutex, so only the struct-member
-// pass can see the discipline.
-struct ShardLane {
-  std::mutex mu;
-  std::deque<int> pending;
-};
-
-class BadShardedQueue {
- public:
-  void worker_drain(std::size_t i) {
-    ShardLane& lane = lanes_[i];
-    std::scoped_lock lk(lane.mu);
-    lane.pending.clear();
-  }
-
-  std::size_t backlog(std::size_t i) {
-    ShardLane& lane = lanes_[i];
-    return lane.pending.size();  // BAD: no lock on the lane's own mutex
-  }
-
- private:
-  std::vector<ShardLane> lanes_;
 };
 
 }  // namespace fixture

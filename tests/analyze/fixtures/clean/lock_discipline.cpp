@@ -49,35 +49,4 @@ class CleanQueue {
   std::vector<std::thread> workers_;  // const after construction
 };
 
-// Clean shard-lane pattern: every local reference to a lane locks the
-// lane's own mutex before touching its state, and the lock-free helper
-// takes the lane as a *parameter* — the caller holds the lock, which is
-// exactly the lane-helper idiom the rule must not flag.
-struct CleanLane {
-  std::mutex mu;
-  std::deque<int> pending;
-};
-
-class CleanShardedQueue {
- public:
-  void worker_drain(std::size_t i) {
-    CleanLane& lane = lanes_[i];
-    std::scoped_lock lk(lane.mu);
-    drain_locked(lane);
-  }
-
-  std::size_t backlog(std::size_t i) {
-    CleanLane& lane = lanes_[i];
-    std::scoped_lock lk(lane.mu);
-    return lane.pending.size();
-  }
-
- private:
-  static void drain_locked(CleanLane& lane) {
-    lane.pending.clear();  // caller holds lane.mu (lane-helper pattern)
-  }
-
-  std::vector<CleanLane> lanes_;
-};
-
 }  // namespace fixture

@@ -32,7 +32,7 @@ RULES = [
 EXPECTED_MIN = {
     "nondet-iteration": 3,
     "pointer-keyed-order": 2,
-    "lock-discipline": 2,
+    "lock-discipline": 1,
     "observer-schema": 3,
     "sim-time-arith": 3,
     "nondet-api": 6,

@@ -145,24 +145,13 @@ struct TrialOutcome {
   std::uint64_t false_suspicions = 0;
 };
 
-/// Event-queue configuration for a chaos leg: sharded lanes and the calendar
-/// backend are pure performance knobs, so every leg must reproduce the
-/// sequential outcome exactly (DESIGN.md §13).
-struct QueueSetup {
-  EventQueueBackend backend = EventQueueBackend::kBinaryHeap;
-  std::uint32_t shards = 1;
-};
-
 /// `detector` transforms the trial's ground-truth schedule into what the
 /// engine believes (sim/failure_detector.h); the default config passes the
 /// truth through verbatim, preserving the original chaos semantics.
 TrialOutcome run_chaos_trial(const ChaosParams& p,
-                             const FailureDetectorConfig& detector = {},
-                             const QueueSetup& queue = {}) {
+                             const FailureDetectorConfig& detector = {}) {
   SchedConfig cfg;
   cfg.locality_wait = p.locality_wait;
-  cfg.event_queue_backend = queue.backend;
-  cfg.event_shards = queue.shards;
   Engine engine(cfg, p.nodes, p.slots_per_node, p.engine_seed);
   engine.set_reservation_hook(make_hook(p.hook));
 
@@ -357,12 +346,9 @@ struct OpenTrialOutcome {
   std::uint64_t rejected = 0;
 };
 
-OpenTrialOutcome run_open_chaos_trial(const OpenChaosParams& p,
-                                      const QueueSetup& queue = {}) {
+OpenTrialOutcome run_open_chaos_trial(const OpenChaosParams& p) {
   SchedConfig cfg;
   cfg.locality_wait = p.locality_wait;
-  cfg.event_queue_backend = queue.backend;
-  cfg.event_shards = queue.shards;
   Engine engine(cfg, p.nodes, p.slots_per_node, p.engine_seed);
   engine.set_reservation_hook(make_hook(p.hook));
 
@@ -551,72 +537,6 @@ TEST(Chaos, ZooReservationPoliciesSeeBrokenReservations) {
       broken += run_zoo_chaos_trial(policy, p).recovery.reservations_broken;
     }
     EXPECT_GT(broken, 0u) << zoo_policy_name(policy);
-  }
-}
-
-// --- Sharded-engine / calendar-queue legs -----------------------------------
-//
-// The same seeded chaos trials, replayed with the event queue swapped for
-// each sharded/calendar configuration: every audited counter must reproduce
-// the sequential run exactly.  (Byte-level digest and trace equality over
-// these configurations lives in shard_determinism_test; these legs keep the
-// chaos generator itself — with its heavier failure mixes and invariant
-// auditor — pointed at the alternate backends.)
-
-const QueueSetup kAltQueues[] = {
-    {EventQueueBackend::kCalendar, 1},
-    {EventQueueBackend::kBinaryHeap, 4},
-    {EventQueueBackend::kCalendar, 4},
-};
-
-void expect_outcomes_equal(const TrialOutcome& a, const TrialOutcome& b) {
-  EXPECT_EQ(a.events_audited, b.events_audited);
-  EXPECT_EQ(a.suspicions, b.suspicions);
-  EXPECT_EQ(a.false_suspicions, b.false_suspicions);
-  EXPECT_EQ(a.recovery.slots_failed, b.recovery.slots_failed);
-  EXPECT_EQ(a.recovery.slots_recovered, b.recovery.slots_recovered);
-  EXPECT_EQ(a.recovery.tasks_failed, b.recovery.tasks_failed);
-  EXPECT_EQ(a.recovery.tasks_requeued, b.recovery.tasks_requeued);
-  EXPECT_EQ(a.recovery.failures_masked, b.recovery.failures_masked);
-  EXPECT_EQ(a.recovery.stages_invalidated, b.recovery.stages_invalidated);
-  EXPECT_EQ(a.recovery.reservations_broken, b.recovery.reservations_broken);
-}
-
-TEST(Chaos, ShardedAndCalendarEnginesReproduceSequentialFailureOutcomes) {
-  for (std::uint64_t trial = 0; trial < 200; trial += 5) {
-    const ChaosParams p = derive_params(trial);
-    FailureDetectorConfig d;
-    if (trial % 2 == 1) {
-      d = derive_detector(trial);
-      d.noise_horizon = p.failures.horizon;
-    }
-    const TrialOutcome reference = run_chaos_trial(p, d);
-    for (const QueueSetup& queue : kAltQueues) {
-      SCOPED_TRACE("trial " + std::to_string(trial) + " backend " +
-                   std::to_string(static_cast<int>(queue.backend)) +
-                   " shards " + std::to_string(queue.shards));
-      expect_outcomes_equal(reference, run_chaos_trial(p, d, queue));
-    }
-  }
-}
-
-TEST(Chaos, ShardedAndCalendarEnginesReproduceSequentialOpenOutcomes) {
-  for (std::uint64_t trial = 0; trial < 100; trial += 5) {
-    const OpenChaosParams p = derive_open_params(trial);
-    const OpenTrialOutcome reference = run_open_chaos_trial(p);
-    for (const QueueSetup& queue : kAltQueues) {
-      SCOPED_TRACE("open trial " + std::to_string(trial) + " backend " +
-                   std::to_string(static_cast<int>(queue.backend)) +
-                   " shards " + std::to_string(queue.shards));
-      const OpenTrialOutcome got = run_open_chaos_trial(p, queue);
-      EXPECT_EQ(reference.events_audited, got.events_audited);
-      EXPECT_EQ(reference.admitted, got.admitted);
-      EXPECT_EQ(reference.queued, got.queued);
-      EXPECT_EQ(reference.rejected, got.rejected);
-      EXPECT_EQ(reference.recovery.slots_failed, got.recovery.slots_failed);
-      EXPECT_EQ(reference.recovery.tasks_failed, got.recovery.tasks_failed);
-      EXPECT_EQ(reference.recovery.tasks_requeued, got.recovery.tasks_requeued);
-    }
   }
 }
 

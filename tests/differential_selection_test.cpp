@@ -157,13 +157,9 @@ struct TrialResult {
 };
 
 TrialResult run_trial(const TrialParams& p, bool reference,
-                      bool empty_injector = false,
-                      EventQueueBackend backend = EventQueueBackend::kBinaryHeap,
-                      std::uint32_t shards = 1) {
+                      bool empty_injector = false) {
   SchedConfig cfg;
   cfg.locality_wait = p.locality_wait;
-  cfg.event_queue_backend = backend;
-  cfg.event_shards = shards;
   Engine engine(cfg, p.nodes, p.slots_per_node, p.engine_seed);
   std::unique_ptr<ReservationHook> hook = make_hook(p);
   if (reference) {
@@ -239,60 +235,21 @@ TEST(DifferentialSelection, ReferenceSelectorIsTransparent) {
   EXPECT_EQ(log.events, run_trial(p, true).events);
 }
 
-// The optimized selection must also match the reference when the *event
-// queue* underneath is swapped for the calendar backend and sharded lanes:
-// the optimized run uses each alternate configuration while the reference
-// run stays on the sequential binary heap, so a single comparison covers
-// both the candidate-enumeration equivalence and the queue's bit-identical
-// merge contract (DESIGN.md §13) in one differential signal.
-TEST(DifferentialSelection, OptimizedShardedEnginesMatchSequentialReference) {
-  struct Alt {
-    EventQueueBackend backend;
-    std::uint32_t shards;
-  };
-  const Alt alts[] = {{EventQueueBackend::kCalendar, 1},
-                      {EventQueueBackend::kBinaryHeap, 4},
-                      {EventQueueBackend::kCalendar, 4}};
-  for (std::uint64_t trial = 0; trial < 60; ++trial) {
-    const TrialParams p = derive_params(trial);
-    const std::vector<SchedEvent> reference = run_trial(p, true).events;
-    for (const Alt& alt : alts) {
-      const std::vector<SchedEvent> optimized =
-          run_trial(p, false, false, alt.backend, alt.shards).events;
-      ASSERT_EQ(optimized.size(), reference.size())
-          << "trial " << trial << " shards " << alt.shards << " backend "
-          << static_cast<int>(alt.backend) << ": event counts diverged";
-      for (std::size_t i = 0; i < optimized.size(); ++i) {
-        ASSERT_EQ(optimized[i], reference[i])
-            << "trial " << trial << " shards " << alt.shards << " backend "
-            << static_cast<int>(alt.backend) << " diverged at event " << i
-            << ":\n  optimized: " << describe(optimized[i])
-            << "\n  reference: " << describe(reference[i]);
-      }
-    }
-  }
-}
-
 // --- Policy-zoo legs ---------------------------------------------------------
 //
-// Every zoo policy (exp/policy_zoo.h) must uphold the same determinism
-// contract as the default scheduler: the complete scheduling event sequence
-// is a function of the scenario alone, not of the event-queue backend or
-// shard count (DESIGN.md §13).  Each trial randomizes cluster size, trace
+// Each zoo policy (exp/policy_zoo.h) trial randomizes cluster size, trace
 // mix and locality config exactly like the hook trials above, turns on
 // per-stage demand vectors (so the packing selector makes real decisions),
 // and runs through the full ScenarioHarness — under -DSSR_AUDIT=ON the
 // 12-invariant auditor rides every one of these runs.
 
 struct ZooOutcome {
-  std::vector<SchedEvent> events;
   RunTotals totals;
   RunResult run;
   std::uint32_t total_slots = 0;
 };
 
-ZooOutcome run_zoo_trial(ZooPolicy policy, std::uint64_t trial,
-                         EventQueueBackend backend, std::uint32_t shards) {
+ZooOutcome run_zoo_trial(ZooPolicy policy, std::uint64_t trial) {
   const TrialParams p = derive_params(trial);
   const ClusterSpec cluster{
       .nodes = p.nodes, .slots_per_node = p.slots_per_node, .node_slots = {}};
@@ -300,13 +257,9 @@ ZooOutcome run_zoo_trial(ZooPolicy policy, std::uint64_t trial,
   options.seed = p.engine_seed;
   options.sched.locality_wait = p.locality_wait;
   apply_zoo_policy(policy, cluster, options);
-  options.sched.event_queue_backend = backend;
-  options.sched.event_shards = shards;
   TraceGenConfig bg = p.bg;
   bg.vary_demand = true;
   ScenarioHarness harness(cluster, options);
-  EventLog log;
-  harness.engine().add_observer(&log);
   std::vector<JobId> ids;
   for (JobSpec& spec : make_background_jobs(bg)) {
     ids.push_back(harness.engine().submit(std::move(spec)));
@@ -316,7 +269,6 @@ ZooOutcome run_zoo_trial(ZooPolicy policy, std::uint64_t trial,
   harness.engine().run();
   ZooOutcome out;
   out.run = harness.collect(ids);
-  out.events = std::move(log.events);
   out.totals.busy = harness.engine().cluster().total_busy_time();
   out.totals.reserved_idle =
       harness.engine().cluster().total_reserved_idle_time();
@@ -350,40 +302,13 @@ void check_zoo_run(const ZooOutcome& out, const std::string& label) {
       << label << ": slot-time over-commit";
 }
 
-TEST(DifferentialSelection, ZooPoliciesAreBackendAndShardInvariant) {
+TEST(DifferentialSelection, ZooPoliciesCompleteAndConserveSlotTime) {
   constexpr std::uint64_t kTrialsPerPolicy = 40;
-  struct Alt {
-    EventQueueBackend backend;
-    std::uint32_t shards;
-  };
-  const Alt alts[] = {
-      {EventQueueBackend::kBinaryHeap, 2}, {EventQueueBackend::kBinaryHeap, 4},
-      {EventQueueBackend::kBinaryHeap, 8}, {EventQueueBackend::kCalendar, 1},
-      {EventQueueBackend::kCalendar, 2},   {EventQueueBackend::kCalendar, 4},
-      {EventQueueBackend::kCalendar, 8}};
   for (ZooPolicy policy : all_zoo_policies()) {
     for (std::uint64_t trial = 0; trial < kTrialsPerPolicy; ++trial) {
-      const std::string label = std::string(zoo_policy_name(policy)) +
-                                " trial " + std::to_string(trial);
-      const ZooOutcome reference =
-          run_zoo_trial(policy, trial, EventQueueBackend::kBinaryHeap, 1);
-      check_zoo_run(reference, label);
-      for (const Alt& alt : alts) {
-        const ZooOutcome other =
-            run_zoo_trial(policy, trial, alt.backend, alt.shards);
-        ASSERT_EQ(other.events.size(), reference.events.size())
-            << label << " shards " << alt.shards << " backend "
-            << static_cast<int>(alt.backend) << ": event counts diverged";
-        for (std::size_t i = 0; i < reference.events.size(); ++i) {
-          ASSERT_EQ(other.events[i], reference.events[i])
-              << label << " shards " << alt.shards << " backend "
-              << static_cast<int>(alt.backend) << " diverged at event " << i
-              << ":\n  alt:       " << describe(other.events[i])
-              << "\n  reference: " << describe(reference.events[i]);
-        }
-        ASSERT_TRUE(other.totals == reference.totals)
-            << label << " shards " << alt.shards << ": totals diverged";
-      }
+      check_zoo_run(run_zoo_trial(policy, trial),
+                    std::string(zoo_policy_name(policy)) + " trial " +
+                        std::to_string(trial));
     }
   }
 }

@@ -1,15 +1,15 @@
 // Unit tests for the EventQueue and its move-only callback type: time
 // ordering, same-instant FIFO, interleaved push/pop, move-only callable
-// support (the properties the simulator's determinism rests on), plus the
-// backend/shard matrix — every storage configuration must pop the identical
-// sequence, and the calendar backend's resize / far-future machinery gets
-// targeted edge-case coverage.
+// support (the properties the simulator's determinism rests on), plus random
+// push/pop interleavings checked against a sorted-list model of the
+// (time, band, push order) contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
-#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -157,7 +157,7 @@ TEST(EventQueue, PopIfAtOrBeforeIsBounded) {
   ev = q.pop_if_at_or_before(2.0);  // 3.0 is past the horizon: stays queued
   EXPECT_FALSE(ev.has_value());
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_DOUBLE_EQ(q.peek_time(), 3.0);
+  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -176,198 +176,10 @@ TEST(EventQueue, BoundedAdvanceRespectsBandsOnHorizonTie) {
   EXPECT_EQ(q.size(), 1u);  // the epsilon-later failure was not over-stepped
 }
 
-// --- Backend / shard matrix --------------------------------------------------
-
-/// The storage configurations the determinism contract quantifies over.  All
-/// of them must produce the identical pop sequence for any workload.
-std::vector<EventQueueOptions> AllConfigs(std::uint32_t num_nodes) {
-  std::vector<EventQueueOptions> configs;
-  for (EventQueueBackend backend :
-       {EventQueueBackend::kBinaryHeap, EventQueueBackend::kCalendar}) {
-    for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      configs.push_back(EventQueueOptions{backend, shards, num_nodes});
-    }
-  }
-  return configs;
-}
-
-std::string ConfigName(const EventQueueOptions& o) {
-  return std::string(o.backend == EventQueueBackend::kCalendar ? "calendar"
-                                                               : "heap") +
-         "/shards=" + std::to_string(o.shards);
-}
-
-/// One scripted interleaving of pushes and pops, replayed against a config.
-/// Returns the (time, payload id) pop sequence.
-struct Op {
-  bool is_pop = false;
-  double at = 0.0;
-  EventBand band = EventBand::kInternal;
-  std::uint32_t home = 0;
-  int id = 0;
-};
-
-std::vector<std::pair<double, int>> Replay(const EventQueueOptions& opts,
-                                           const std::vector<Op>& ops) {
-  EventQueue q(opts);
-  std::vector<std::pair<double, int>> popped;
-  std::vector<int> fired;
-  for (const Op& op : ops) {
-    if (op.is_pop) {
-      if (q.empty()) continue;
-      auto [at, fn] = q.pop();
-      fn();
-      popped.emplace_back(at, fired.back());
-    } else {
-      q.push(op.at, op.band, NodeId{op.home},
-             [&fired, id = op.id] { fired.push_back(id); });
-    }
-  }
-  while (!q.empty()) {
-    auto [at, fn] = q.pop();
-    fn();
-    popped.emplace_back(at, fired.back());
-  }
-  return popped;
-}
-
-/// Random workload mixing clustered exact ties, a wide time spread, and
-/// occasional far-future outliers (the calendar's overflow population).
-std::vector<Op> RandomWorkload(std::uint64_t seed, int n_ops,
-                               std::uint32_t num_nodes) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
-  std::vector<Op> ops;
-  double watermark = 0.0;  // pops only ever raise the popped time
-  int next_id = 0;
-  int live = 0;
-  for (int i = 0; i < n_ops; ++i) {
-    const double r = uni(rng);
-    if (live > 0 && r < 0.35) {
-      ops.push_back(Op{true});
-      --live;
-      continue;
-    }
-    Op op;
-    const double kind = uni(rng);
-    if (kind < 0.4) {
-      // Clustered: exact ties on a coarse grid, the band/seq stress case.
-      op.at = watermark + static_cast<double>(rng() % 8);
-    } else if (kind < 0.8) {
-      op.at = watermark + uni(rng) * 100.0;
-    } else if (kind < 0.95) {
-      op.at = watermark + uni(rng) * 5.0e7;  // far future: overflow territory
-    } else {
-      op.at = watermark;  // exactly "now"
-    }
-    op.band = static_cast<EventBand>(rng() % 3);
-    op.home = static_cast<std::uint32_t>(rng() % (2 * num_nodes));  // some out of range
-    op.id = next_id++;
-    ops.push_back(op);
-    ++live;
-  }
-  return ops;
-}
-
-TEST(EventQueueMatrix, AllConfigsPopIdenticalSequences) {
-  constexpr std::uint32_t kNodes = 40;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const std::vector<Op> ops = RandomWorkload(seed, 600, kNodes);
-    const auto reference = Replay(EventQueueOptions{}, ops);
-    for (const EventQueueOptions& cfg : AllConfigs(kNodes)) {
-      const auto got = Replay(cfg, ops);
-      ASSERT_EQ(got, reference)
-          << "seed " << seed << " diverged under " << ConfigName(cfg);
-    }
-  }
-}
-
-TEST(EventQueueMatrix, BandsAndFifoHoldUnderEveryConfig) {
-  for (const EventQueueOptions& cfg : AllConfigs(16)) {
-    EventQueue q(cfg);
-    std::vector<int> order;
-    for (int i = 0; i < 64; ++i) {
-      q.push(5.0, static_cast<EventBand>(2 - i % 3), NodeId{static_cast<std::uint32_t>(i) % 16},
-             [&order, i] { order.push_back(i); });
-    }
-    std::vector<int> expect;
-    for (int band = 0; band < 3; ++band) {
-      for (int i = 0; i < 64; ++i) {
-        if (2 - i % 3 == band) expect.push_back(i);
-      }
-    }
-    while (!q.empty()) q.pop().second();
-    EXPECT_EQ(order, expect) << ConfigName(cfg);
-  }
-}
-
-// --- Calendar-specific edge cases -------------------------------------------
-
-EventQueueOptions Calendar() {
-  return EventQueueOptions{EventQueueBackend::kCalendar, 1, 0};
-}
-
-TEST(CalendarQueue, BucketGrowAndShrinkPreserveOrder) {
-  // Push enough to force several doublings past the 16-bucket floor, then
-  // drain (forcing shrink rebuilds) while asserting global order.
-  EventQueue q(Calendar());
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> uni(0.0, 1000.0);
-  for (int i = 0; i < 5000; ++i) q.push(uni(rng), [] {});
-  double prev = -1.0;
-  while (!q.empty()) {
-    auto [at, fn] = q.pop();
-    EXPECT_GE(at, prev);
-    prev = at;
-  }
-}
-
-TEST(CalendarQueue, EarlierPushAfterCursorAdvanceIsNotLost) {
-  // Regression guard for the classic calendar-queue bug: peeking walks the
-  // scan cursor forward; a subsequent push *behind* the cursor must still be
-  // the next pop (cursor regression rule + cached-min invalidation).
-  EventQueue q(Calendar());
-  std::vector<int> order;
-  for (int i = 0; i < 64; ++i) {
-    q.push(1000.0 + i, [&order, i] { order.push_back(100 + i); });
-  }
-  EXPECT_DOUBLE_EQ(q.next_time(), 1000.0);  // locates min, parks cursor
-  q.push(3.0, [&] { order.push_back(1) ; });
-  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
-  q.pop().second();
-  ASSERT_EQ(order, (std::vector<int>{1}));
-  q.pop().second();
-  EXPECT_EQ(order.back(), 100);
-}
-
-TEST(CalendarQueue, FarFutureEventsRouteThroughOverflow) {
-  // A dense near population plus outliers millions of seconds out: the
-  // outliers sit in overflow until the buckets drain, then a rebuild around
-  // the remaining population must surface them in order.
-  EventQueue q(Calendar());
-  std::vector<double> popped;
-  for (int i = 0; i < 200; ++i) q.push(static_cast<double>(i) * 0.25, [] {});
-  q.push(9.0e12, [] {});
-  q.push(3.0e12, [] {});
-  q.push(3.0e12, [] {});  // tie in the far population
-  ASSERT_EQ(q.size(), 203u);
-  double prev = -1.0;
-  while (!q.empty()) {
-    auto [at, fn] = q.pop();
-    EXPECT_GE(at, prev);
-    prev = at;
-    popped.push_back(at);
-  }
-  ASSERT_EQ(popped.size(), 203u);
-  EXPECT_DOUBLE_EQ(popped[200], 3.0e12);
-  EXPECT_DOUBLE_EQ(popped[201], 3.0e12);
-  EXPECT_DOUBLE_EQ(popped[202], 9.0e12);
-}
-
-TEST(CalendarQueue, InfiniteTimeEventsPopLast) {
-  // kTimeInfinity sentinels (e.g. "never" timers) must never enter bucket
-  // index arithmetic, and pop after every finite event.
-  EventQueue q(Calendar());
+TEST(EventQueue, InfiniteTimeEventsPopLast) {
+  // kTimeInfinity sentinels (e.g. "never" timers) pop after every finite
+  // event, in push order among themselves.
+  EventQueue q;
   std::vector<int> order;
   q.push(kTimeInfinity, [&] { order.push_back(99); });
   q.push(1.0, [&] { order.push_back(1); });
@@ -377,32 +189,63 @@ TEST(CalendarQueue, InfiniteTimeEventsPopLast) {
   EXPECT_EQ(order, (std::vector<int>{1, 99, 100}));
 }
 
-TEST(CalendarQueue, SingleFarFutureEventAfterDrainIsReachable) {
-  // Drain-to-overflow-only: the rebuild triggered by an empty bucket array
-  // must re-home the far event rather than spinning or losing it.
-  EventQueue q(Calendar());
-  for (int i = 0; i < 50; ++i) q.push(static_cast<double>(i), [] {});
-  q.push(8.0e15, [] {});
-  for (int i = 0; i < 50; ++i) q.pop();
-  ASSERT_EQ(q.size(), 1u);
-  EXPECT_DOUBLE_EQ(q.next_time(), 8.0e15);
-  auto [at, fn] = q.pop();
-  EXPECT_DOUBLE_EQ(at, 8.0e15);
-  EXPECT_TRUE(q.empty());
+TEST(EventQueue, DestructionWithPendingEventsIsClean) {
+  // Queued callbacks (and the state they captured) are destroyed with the
+  // queue; ASan checks nothing leaks.
+  auto q = std::make_unique<EventQueue>();
+  auto payload = std::make_unique<int>(5);
+  for (int i = 0; i < 100; ++i) q->push(static_cast<double>(i), [] {});
+  q->push(1.0, [p = std::move(payload)] {});
+  q.reset();
 }
 
-TEST(EventQueueMatrix, DestructionWithPendingEventsIsClean) {
-  // Worker threads must shut down even when events (and their captured
-  // state) are still queued — exercised under TSan via the ctest label.
-  for (const EventQueueOptions& cfg : AllConfigs(8)) {
-    auto q = std::make_unique<EventQueue>(cfg);
-    auto payload = std::make_unique<int>(5);
-    for (int i = 0; i < 100; ++i) {
-      q->push(static_cast<double>(i), EventBand::kInternal,
-              NodeId{static_cast<std::uint32_t>(i) % 8}, [] {});
+TEST(EventQueue, RandomInterleavingsMatchSortedModel) {
+  // The model is the list of pending events as (time, band, push order);
+  // every pop must return its minimum.  Pushes mix exact ties on a coarse
+  // grid (the band/seq stress case), a wide spread, far-future outliers and
+  // events at "now" (the last popped time), interleaved with pops the way
+  // simulator callbacks schedule new events.
+  using Pending = std::tuple<double, EventBand, int>;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> uni(0.0, 1.0);
+    EventQueue q;
+    std::vector<Pending> model;
+    double now = 0.0;
+    int fired = -1;
+    auto pop_both = [&] {
+      const auto it = std::min_element(model.begin(), model.end());
+      const Pending want = *it;
+      model.erase(it);
+      EXPECT_EQ(q.next_time(), std::get<0>(want));
+      auto [at, fn] = q.pop();
+      fn();
+      EXPECT_EQ(at, std::get<0>(want));
+      EXPECT_EQ(fired, std::get<2>(want));
+      now = at;
+    };
+    for (int id = 0; id < 600; ++id) {
+      if (!model.empty() && uni(rng) < 0.35) {
+        pop_both();
+        continue;
+      }
+      const double kind = uni(rng);
+      double at = now;  // exactly "now"
+      if (kind < 0.4) {
+        at += static_cast<double>(rng() % 8);
+      } else if (kind < 0.8) {
+        at += uni(rng) * 100.0;
+      } else if (kind < 0.95) {
+        at += uni(rng) * 5.0e7;
+      }
+      const auto band = static_cast<EventBand>(rng() % 3);
+      q.push(at, band, [&fired, id] { fired = id; });
+      model.emplace_back(at, band, id);
+      ASSERT_EQ(q.size(), model.size());
     }
-    q->push(1.0, [p = std::move(payload)] {});
-    q.reset();
+    while (!model.empty()) pop_both();
+    EXPECT_TRUE(q.empty());
   }
 }
 

@@ -115,6 +115,9 @@ TEST(BenchArgs, RejectsUnknownFlagsAndMissingValues) {
   expect_parse_throws({"--scale"});  // flag with no value
   expect_parse_throws({"--jobs"});
   expect_parse_throws({"--csv"});
+  // There is one event queue, so no flag selects or shards it.
+  expect_parse_throws({"--queue", "heap"});
+  expect_parse_throws({"--shards", "4"});
 }
 
 TEST(SummaryStats, ComputesMomentsAndPercentiles) {

@@ -28,7 +28,7 @@ Rules (see DESIGN.md §12 for the hazard-class -> runtime-suite mapping):
                       lock_guard/unique_lock/scoped_lock of that mutex and
                       outside any lock region (constructors/destructors are
                       exempt: single-threaded by contract).  Race candidates
-                      for the sharded engine.
+                      for the sweep thread pool.
   observer-schema     AST-accurate replacement for the retired regex
                       trace-schema lint: every virtual on_* of EngineObserver
                       must be overridden+serialized by TraceRecorder (with a
@@ -245,21 +245,6 @@ class FieldAccess:
 
 
 @dataclass
-class QualAccess:
-    """`base.member` / `base->member` where `base` is a plain local/param —
-    the shard-lane pattern (`std::scoped_lock lk(lane.mu); lane.heap...`)
-    where the mutex lives on a struct reached through a variable rather
-    than on the enclosing class.  guarded_by holds *all* identifiers named
-    in covering lock-guard constructor args, so `base in guarded_by` means
-    some live guard was built from this variable's own mutex."""
-
-    base: str
-    name: str
-    line: int
-    guarded_by: frozenset  # identifiers named in covering lock regions
-
-
-@dataclass
 class Assign:
     target: str          # simple identifier target
     rhs: list[Token]
@@ -282,7 +267,6 @@ class Method:
     iter_loops: list = field(default_factory=list)   # [IterLoop]
     calls: list = field(default_factory=list)        # [Call]
     field_accesses: list = field(default_factory=list)
-    qual_accesses: list = field(default_factory=list)  # [QualAccess]
     assigns: list = field(default_factory=list)      # [Assign]
     new_lines: list = field(default_factory=list)    # [int]
     ctor_inits: list = field(default_factory=list)   # [str] field names
@@ -843,10 +827,6 @@ class FileParser:
                         mus = frozenset(
                             t.value for t in toks[k + 1:close - 1]
                             if t.kind == "id" and t.value in field_names)
-                        if not mus:
-                            mus = frozenset(
-                                t.value for t in toks[k + 1:close - 1]
-                                if t.kind == "id")
                         pending.append((mus, close, len(block_stack)))
                         j = close
                         continue
@@ -935,16 +915,6 @@ class FileParser:
                     if bare:
                         m.field_accesses.append(FieldAccess(
                             name=v, line=t.line, guarded_by=guards_at(j)))
-                # qualified access `var.member` / `var->member` at the head
-                # of a chain — the rule layer resolves `var`'s type and
-                # checks struct-member mutex discipline (shard-lane state).
-                prev_q = toks[j - 1].value if j > i else ""
-                if v != "this" and prev_q not in (".", "->", "::") and \
-                        j + 2 < end and toks[j + 1].value in (".", "->") and \
-                        toks[j + 2].kind == "id":
-                    m.qual_accesses.append(QualAccess(
-                        base=v, name=toks[j + 2].value, line=t.line,
-                        guarded_by=guards_at(j)))
                 # assignment `id = rhs ;` (plain identifier targets only;
                 # `x.member = ...` is the member's business, not x's)
                 prev_tok = toks[j - 1].value if j > i else ""
@@ -1342,65 +1312,6 @@ def rule_lock_discipline(program: Program):
                     f"{'/'.join(sorted(guarded[fname][0][1].guarded_by))} "
                     f"elsewhere but without a lock in `{m.key()}` — race "
                     "candidate; take the lock or document why it is safe"))
-    findings.extend(_struct_member_lock_pass(program))
-    return findings
-
-
-def _struct_member_lock_pass(program: Program):
-    """Shard-lane discipline: a struct that carries its own mutex (the
-    sharded engine's per-lane state) is reached through locals/params, so
-    the enclosing-class pass above never sees it.  `lane.field` counts as
-    guarded when a covering lock region was constructed from `lane` itself
-    (`std::scoped_lock lk(lane.mu)` names both `lane` and `mu`); a field
-    that is locked on one path and naked on another is the race candidate
-    the sharded workers must never reintroduce."""
-    findings = []
-    # struct name -> (mutex field names, non-exempt data field names)
-    locked_structs = {}
-    for cname, cls in program.classes.items():
-        mus = {v.name for v in cls.fields
-               if any(mt in v.type_str for mt in _MUTEX_TYPES)}
-        if not mus:
-            continue
-        data = {v.name for v in cls.fields
-                if v.name not in mus and
-                not any(x in v.type_str for x in _LOCK_EXEMPT_FIELD_TYPES)}
-        locked_structs[cname] = (mus, data)
-    if not locked_structs:
-        return findings
-
-    guarded: dict[tuple, list] = {}
-    unguarded: dict[tuple, list] = {}
-    for fns in program.methods_by_key.values():
-        for m in fns:
-            if not m.has_body or m.is_ctor or m.is_dtor:
-                continue
-            for qa in m.qual_accesses:
-                # Locals only: a parameter of locked-struct type is the
-                # lane-helper pattern, where the *caller* holds the lock —
-                # a local is the scope that must take it itself.
-                base_type = next((v.type_str for v in m.locals
-                                  if v.name == qa.base), "")
-                cls = program.class_of_type(base_type)
-                if cls is None or cls.name not in locked_structs:
-                    continue
-                mus, data = locked_structs[cls.name]
-                if qa.name not in data:
-                    continue
-                key = (cls.name, qa.name)
-                if qa.base in qa.guarded_by:
-                    guarded.setdefault(key, []).append((m, qa))
-                else:
-                    unguarded.setdefault(key, []).append((m, qa))
-    for key in sorted(set(guarded) & set(unguarded)):
-        cname, fname = key
-        for m, qa in unguarded[key]:
-            findings.append(Finding(
-                m.path, qa.line, "lock-discipline",
-                f"`{cname}::{fname}` (via `{qa.base}`) is accessed under a "
-                f"lock built from `{guarded[key][0][1].base}` elsewhere but "
-                f"without one in `{m.key()}` — race candidate; lock the "
-                "struct's own mutex or document why it is safe"))
     return findings
 
 
@@ -1503,8 +1414,8 @@ def _method_line_span(f: FileIR, m: Method):
 
 
 _TIME_TYPES = {"SimTime", "SimDuration"}
-_TIME_RETURNING = {"now", "next_event_time", "peek_time", "next_time",
-                   "job_finish_time", "jct"}
+_TIME_RETURNING = {"now", "next_event_time", "next_time", "job_finish_time",
+                   "jct"}
 
 
 def _is_time_type(program: Program, ts: str) -> bool:
