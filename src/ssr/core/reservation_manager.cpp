@@ -1,9 +1,10 @@
 #include "ssr/core/reservation_manager.h"
 
 #include <algorithm>
-#include <vector>
-
+#include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "ssr/analysis/pareto.h"
 #include "ssr/common/check.h"
@@ -29,8 +30,68 @@ bool ReservationManager::eligible(const Engine& engine, JobId job) const {
 }
 
 std::size_t ReservationManager::reserved_count(JobId job) const {
-  auto it = by_job_.find(job);
-  return it == by_job_.end() ? 0 : it->second.size();
+  return static_cast<std::size_t>(
+      std::count_if(reserved_.begin(), reserved_.end(),
+                    [job](const SlotRecord& rec) {
+                      return rec.live && rec.from_stage.job == job;
+                    }));
+}
+
+void ReservationManager::check_bookkeeping(const Engine& engine) const {
+  const Cluster& cluster = engine.cluster();
+  // Records against the cluster: each job's recorded slots are exactly its
+  // reserved-idle index, the only per-job index the manager reads.
+  std::map<JobId, std::vector<SlotId>> recorded;
+  std::map<StageId, std::uint32_t> recount;
+  for (std::uint32_t v = 0; v < reserved_.size(); ++v) {
+    const SlotRecord& rec = reserved_[v];
+    if (!rec.live) continue;
+    const Slot& s = cluster.slot(SlotId{v});
+    SSR_CHECK_MSG(s.state() == SlotState::ReservedIdle &&
+                      s.reservation()->job == rec.from_stage.job,
+                  "slot" << v << " recorded for " << rec.from_stage
+                         << " is not reserved for its job");
+    recorded[rec.from_stage.job].push_back(SlotId{v});
+    ++recount[rec.from_stage];
+  }
+  SSR_CHECK_OP(live_records_, ==, cluster.reserved_idle_slots().size());
+  std::set<JobId> jobs;
+  for (const auto& [job, slots] : recorded) jobs.insert(job);
+  for (SlotId s : cluster.reserved_idle_slots()) {
+    jobs.insert(cluster.slot(s).reservation()->job);
+  }
+  for (JobId job : jobs) {
+    const std::set<SlotId>& index = cluster.reserved_idle_slots_of(job);
+    SSR_CHECK_MSG(std::ranges::equal(recorded[job], index),
+                  job << " holds " << index.size() << " reserved slots, "
+                      << recorded[job].size() << " recorded");
+  }
+
+  for (const auto& [sid, ss] : stages_) {
+    const auto n = recount.find(sid);
+    const std::uint32_t recounted = n == recount.end() ? 0 : n->second;
+    SSR_CHECK_OP(ss.reserved, ==, recounted);
+    SSR_CHECK_MSG((ss.prereserving && ss.prereserve_needed > 0) ==
+                      demand_.contains(sid),
+                  sid << " demand set out of step");
+  }
+  for (StageId sid : demand_) {
+    SSR_CHECK_MSG(stages_.contains(sid), sid << " in demand set, untracked");
+  }
+
+  // The mitigation pre-test reads running_originals() for the ongoing
+  // tasks; that holds only while no done task keeps a running original.
+  for (auto it = stages_.begin(); it != stages_.end();) {
+    const JobId job = it->first.job;
+    const JobGraph& graph = engine.graph(job);
+    for (std::uint32_t i = 0; i < graph.num_stages(); ++i) {
+      const StageRuntime* st = engine.stage_runtime(graph.stage_id(i));
+      if (st == nullptr || st->complete()) continue;
+      SSR_CHECK_OP(st->running_task_indices().size(), ==,
+                   std::size_t{st->running_originals()});
+    }
+    it = stages_.lower_bound(StageId{JobId{job.v + 1}, 0});
+  }
 }
 
 // --- Tail-index learning (Sec. III-B, recurring jobs) -------------------------
@@ -111,9 +172,32 @@ void ReservationManager::reserve(Engine& engine, SlotId slot,
   // Record before engine.reserve_slot: the reservation can be overridden by
   // a higher-priority task in the very same call, which lands in
   // on_task_started and must find the record.
-  reserved_[slot] = SlotRecord{job, from_stage, for_stage, prereserved};
-  by_job_[job].insert(slot);
+  if (reserved_.empty()) reserved_.resize(engine.cluster().num_slots());
+  reserved_[slot.v] = SlotRecord{from_stage, for_stage, prereserved, true};
+  ++live_records_;
+  ++stages_[from_stage].reserved;
   engine.reserve_slot(slot, r);
+}
+
+std::optional<ReservationManager::SlotRecord> ReservationManager::take_record(
+    SlotId slot) {
+  if (live_record(slot) == nullptr) return std::nullopt;
+  SlotRecord& rec = reserved_[slot.v];
+  rec.live = false;
+  --live_records_;
+  // The phase's state is gone only for a record made while its job was
+  // being torn down (on_job_finished's releases can re-reserve).
+  auto ss = stages_.find(rec.from_stage);
+  if (ss != stages_.end()) --ss->second.reserved;
+  return rec;
+}
+
+void ReservationManager::note_demand(StageId sid, const StageState& ss) {
+  if (ss.prereserving && ss.prereserve_needed > 0) {
+    demand_.insert(sid);
+  } else {
+    demand_.erase(sid);
+  }
 }
 
 void ReservationManager::handle_phase_slot(Engine& engine,
@@ -154,6 +238,7 @@ void ReservationManager::handle_phase_slot(Engine& engine,
         // moment the downstream is fully placed.
         ss.prereserving = true;
         ss.prereserve_needed = n.value_or(m);
+        note_demand(sid, ss);
       }
       grab_idle_fitting_slots(engine, sid, for_stage, *deadline);
     }
@@ -183,6 +268,7 @@ void ReservationManager::handle_phase_slot(Engine& engine,
       st->finished_fraction() > config_.prereserve_threshold) {
     ss.prereserving = true;
     ss.prereserve_needed = *n - m;
+    note_demand(sid, ss);
     grab_idle_fitting_slots(engine, sid, for_stage, *deadline);
   }
 }
@@ -202,6 +288,7 @@ void ReservationManager::grab_idle_fitting_slots(Engine& engine, StageId sid,
     if (engine.cluster().slot(s).state() != SlotState::Idle) continue;
     if (!demand.fits_in(engine.cluster().slot(s).capacity())) continue;
     --ss.prereserve_needed;
+    note_demand(sid, ss);
     reserve(engine, s, sid, for_stage, deadline, /*prereserved=*/true);
   }
 }
@@ -233,12 +320,7 @@ void ReservationManager::on_task_killed(Engine& engine,
 void ReservationManager::on_slot_idle(Engine& engine, SlotId slot) {
   // A release we did not initiate ourselves means the deadline expired (the
   // engine's expiry timer) — reconcile the record.
-  auto it = reserved_.find(slot);
-  if (it != reserved_.end()) {
-    ++reservations_expired_;
-    by_job_[it->second.job].erase(slot);
-    reserved_.erase(it);
-  }
+  if (take_record(slot)) ++reservations_expired_;
   try_prereserve(engine, slot);
 }
 
@@ -246,11 +328,7 @@ void ReservationManager::on_slot_failed(Engine&, SlotId slot) {
   // The reservation (if any) was broken by the failure, not expired: drop
   // the record without touching the expiry counter.  No pre-reservation
   // either — the slot is Dead.
-  auto it = reserved_.find(slot);
-  if (it != reserved_.end()) {
-    by_job_[it->second.job].erase(slot);
-    reserved_.erase(it);
-  }
+  take_record(slot);
 }
 
 bool ReservationManager::approve(const Engine& engine, SlotId slot, JobId job,
@@ -284,58 +362,50 @@ void ReservationManager::on_stage_fully_placed(Engine& engine, StageId stage) {
     if (it != stages_.end()) {
       it->second.prereserving = false;
       it->second.prereserve_needed = 0;
+      note_demand(it->first, it->second);
     }
   }
 
   // Release reservations that were made for this stage but not consumed
-  // (e.g. the downstream phase turned out narrower than speculated).
-  auto bj = by_job_.find(job);
-  if (bj == by_job_.end()) return;
+  // (e.g. the downstream phase turned out narrower than speculated).  Drop
+  // every record before the first release: the releases re-enter the hook.
   std::vector<SlotId> to_release;
-  for (SlotId s : bj->second) {
-    auto it = reserved_.find(s);
-    if (it != reserved_.end() && it->second.for_stage == stage) {
-      to_release.push_back(s);
-    }
+  for (SlotId s : engine.cluster().reserved_idle_slots_of(job)) {
+    const SlotRecord* rec = live_record(s);
+    if (rec != nullptr && rec->for_stage == stage) to_release.push_back(s);
   }
-  for (SlotId s : to_release) {
-    reserved_.erase(s);
-    bj->second.erase(s);
-    engine.release_reservation(s);
-  }
+  for (SlotId s : to_release) take_record(s);
+  for (SlotId s : to_release) engine.release_reservation(s);
 }
 
 void ReservationManager::on_task_started(Engine& engine, TaskId task,
                                          SlotId slot) {
   // The reservation (if any) was consumed by the reserving job's downstream
   // task or straggler copy — or overridden by a higher-priority job.
-  auto it = reserved_.find(slot);
-  if (it != reserved_.end()) {
-    const SlotRecord rec = it->second;
-    by_job_[rec.job].erase(slot);
-    reserved_.erase(it);
-    if (rec.prereserved && task.stage.job != rec.job) {
-      // A higher-priority override took a pre-reserved slot: the extra-slot
-      // demand is unmet again, so keep requesting (Algorithm 1, line 17).
-      auto ss = stages_.find(rec.from_stage);
-      if (ss != stages_.end() && ss->second.prereserving) {
-        ++ss->second.prereserve_needed;
-      }
+  const auto rec = take_record(slot);
+  if (rec && rec->prereserved && task.stage.job != rec->from_stage.job) {
+    // A higher-priority override took a pre-reserved slot: the extra-slot
+    // demand is unmet again, so keep requesting (Algorithm 1, line 17).
+    auto ss = stages_.find(rec->from_stage);
+    if (ss != stages_.end() && ss->second.prereserving) {
+      ++ss->second.prereserve_needed;
+      note_demand(ss->first, ss->second);
     }
   }
   maybe_mitigate(engine, task.stage.job);
 }
 
 void ReservationManager::on_job_finished(Engine& engine, JobId job) {
-  auto bj = by_job_.find(job);
-  if (bj != by_job_.end()) {
-    const std::vector<SlotId> slots(bj->second.begin(), bj->second.end());
-    for (SlotId s : slots) reserved_.erase(s);
-    by_job_.erase(bj);
-    for (SlotId s : slots) engine.release_reservation(s);
+  std::vector<SlotId> slots;
+  for (SlotId s : engine.cluster().reserved_idle_slots_of(job)) {
+    if (live_record(s) != nullptr) slots.push_back(s);
   }
-  std::erase_if(stages_,
-                [job](const auto& kv) { return kv.first.job == job; });
+  for (SlotId s : slots) take_record(s);
+  for (SlotId s : slots) engine.release_reservation(s);
+  const StageId lo{job, 0};
+  const StageId hi{JobId{job.v + 1}, 0};
+  stages_.erase(stages_.lower_bound(lo), stages_.lower_bound(hi));
+  demand_.erase(demand_.lower_bound(lo), demand_.lower_bound(hi));
 }
 
 // --- Pre-reservation (Case-2.3) -----------------------------------------------
@@ -349,8 +419,7 @@ bool ReservationManager::try_prereserve(Engine& engine, SlotId slot) {
   StageId best{};
   int best_priority = 0;
   bool found = false;
-  for (auto& [sid, ss] : stages_) {
-    if (!ss.prereserving || ss.prereserve_needed == 0) continue;
+  for (StageId sid : demand_) {
     const JobGraph& g = engine.graph(sid.job);
     const auto child = g.first_child(sid.index);
     if (!child) continue;
@@ -372,11 +441,13 @@ bool ReservationManager::try_prereserve(Engine& engine, SlotId slot) {
   if (!deadline) {
     ss.prereserving = false;
     ss.prereserve_needed = 0;
+    note_demand(best, ss);
     return false;
   }
   const JobGraph& graph = engine.graph(best.job);
   const StageId for_stage = graph.stage_id(*graph.first_child(best.index));
   --ss.prereserve_needed;
+  note_demand(best, ss);
   reserve(engine, slot, best, for_stage, *deadline, /*prereserved=*/true);
   return true;
 }
@@ -385,31 +456,32 @@ bool ReservationManager::try_prereserve(Engine& engine, SlotId slot) {
 
 void ReservationManager::maybe_mitigate(Engine& engine, JobId job) {
   if (!config_.enable_straggler_mitigation) return;
-  auto bj = by_job_.find(job);
-  if (bj == by_job_.end() || bj->second.empty()) return;
 
-  // Visit the job's phases that currently hold reservations.
-  const auto lo = stages_.lower_bound(StageId{job, 0});
-  std::vector<StageId> candidate_stages;
-  for (auto it = lo; it != stages_.end() && it->first.job == job; ++it) {
-    candidate_stages.push_back(it->first);
-  }
-
-  for (StageId sid : candidate_stages) {
+  // Visit the job's phases in place: the copies launched below re-enter the
+  // hook, but nothing on that path adds or erases a phase.
+  for (auto it = stages_.lower_bound(StageId{job, 0});
+       it != stages_.end() && it->first.job == job; ++it) {
+    const StageId sid = it->first;
+    const std::uint32_t reserved = it->second.reserved;
+    if (reserved == 0) continue;
     StageRuntime* st = engine.stage_runtime(sid);
     if (st == nullptr || st->complete()) continue;
+    // Trigger: enough reserved slots to give *every* ongoing task a copy.
+    // At a hook call no original of a done task is still running (the twin
+    // is killed first), so the running originals are exactly the ongoing
+    // tasks; the test needs no scan.
+    const std::uint32_t running = st->running_originals();
+    if (running == 0 || running > reserved) continue;
 
-    // Reserved-idle slots this phase contributed.
+    // Reserved-idle slots this phase contributed, in id order.  The
+    // cluster's per-job set is fetched afresh per phase: launching copies
+    // can drain it, which invalidates the reference.
     std::vector<SlotId> phase_slots;
-    for (SlotId s : bj->second) {
-      auto rec = reserved_.find(s);
-      if (rec != reserved_.end() && rec->second.from_stage == sid) {
-        phase_slots.push_back(s);
-      }
+    for (SlotId s : engine.cluster().reserved_idle_slots_of(job)) {
+      const SlotRecord* rec = live_record(s);
+      if (rec != nullptr && rec->from_stage == sid) phase_slots.push_back(s);
     }
     const auto ongoing = st->running_task_indices();
-    // Trigger: enough reserved slots to give *every* ongoing task a copy.
-    if (ongoing.empty() || ongoing.size() > phase_slots.size()) continue;
 
     std::size_t next_slot = 0;
     for (std::uint32_t task_index : ongoing) {

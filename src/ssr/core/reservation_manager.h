@@ -62,6 +62,12 @@ class ReservationManager : public ReservationHook {
   /// Number of slots currently reserved (idle) on behalf of `job`.
   std::size_t reserved_count(JobId job) const;
 
+  /// Cross-checks the manager's bookkeeping against the engine; throws
+  /// CheckError on the first mismatch.  Holds between top-level engine
+  /// callbacks (inside one, a batch release drops its records before the
+  /// cluster lets the slots go).
+  void check_bookkeeping(const Engine& engine) const;
+
   /// Total straggler copies this manager has launched.
   std::uint64_t copies_launched() const { return copies_launched_; }
 
@@ -83,16 +89,19 @@ class ReservationManager : public ReservationHook {
     /// extra slots still need to be grabbed.
     bool prereserving = false;
     std::uint32_t prereserve_needed = 0;
+    /// Live reservations this phase made (its slot records).
+    std::uint32_t reserved = 0;
   };
 
-  /// The manager's own view of reservations it made (the cluster is
-  /// authoritative for state; this map adds which upstream stage the
-  /// reservation came from, for release-on-fully-placed and mitigation).
+  /// The manager's own view of a reservation it made, indexed by slot id
+  /// (the cluster is authoritative for state; the record adds which
+  /// upstream stage the reservation came from, for release-on-fully-placed
+  /// and mitigation).  The reserving job is from_stage.job.
   struct SlotRecord {
-    JobId job;
     StageId from_stage;  ///< Upstream stage whose completion reserved it.
     StageId for_stage;   ///< Downstream stage it serves.
     bool prereserved = false;  ///< Came from Case-2.3 pre-reservation.
+    bool live = false;
   };
 
   bool eligible(const Engine& engine, JobId job) const;
@@ -104,6 +113,23 @@ class ReservationManager : public ReservationHook {
   /// Algorithm 1's "reserve s and s.priority <- k.job.priority".
   void reserve(Engine& engine, SlotId slot, StageId from_stage,
                StageId for_stage, SimTime deadline, bool prereserved = false);
+
+  /// `slot`'s record, or nullptr if the manager holds none.  Most task
+  /// starts find no record; the live count spares them the slot lookup.
+  const SlotRecord* live_record(SlotId slot) const {
+    if (live_records_ == 0 || slot.v >= reserved_.size() ||
+        !reserved_[slot.v].live) {
+      return nullptr;
+    }
+    return &reserved_[slot.v];
+  }
+
+  /// Drop `slot`'s record (consumed, expired, failed or released) and
+  /// return it; nullopt if the manager holds none.
+  std::optional<SlotRecord> take_record(SlotId slot);
+
+  /// Keep `demand_` in step with a change to `ss`'s pre-reservation fields.
+  void note_demand(StageId sid, const StageState& ss);
 
   /// Algorithm 1 HandleTaskCompletion for a slot freed by `info`'s task
   /// (shared by finish and kill paths).
@@ -130,8 +156,13 @@ class ReservationManager : public ReservationHook {
 
   SsrConfig config_;
   std::map<StageId, StageState> stages_;
-  std::map<SlotId, SlotRecord> reserved_;
-  std::map<JobId, std::set<SlotId>> by_job_;
+  /// Sized to the cluster on the first reservation.  A job's reserved
+  /// slots, in id order, are Cluster::reserved_idle_slots_of(job).
+  std::vector<SlotRecord> reserved_;
+  std::uint32_t live_records_ = 0;
+  /// Phases with open pre-reservation demand (prereserving and
+  /// prereserve_needed > 0), in stage order.
+  std::set<StageId> demand_;
   std::map<std::string, std::vector<double>> durations_by_name_;
   std::uint64_t copies_launched_ = 0;
   std::uint64_t reservations_expired_ = 0;

@@ -132,6 +132,10 @@ class Cluster {
 
   /// ReservedIdle slots whose reservation belongs to `job`, ordered by id.
   /// (The id-ordered subsequence of reserved_idle_slots() with that job.)
+  /// The reference dangles once the job's last reserved slot leaves the
+  /// index (claimed, released, expired or failed): the job's entry is
+  /// erased then.  Copy the set, or finish iterating it, before any call
+  /// that can change a reservation — starting a task, reserving, releasing.
   const std::set<SlotId>& reserved_idle_slots_of(JobId job) const;
 
   /// ReservedIdle slots bucketed by reservation priority (each bucket

@@ -128,7 +128,9 @@ TEST(CoreEdge, OverrideConsumesPreReservation) {
   SsrConfig cfg;
   cfg.prereserve_threshold = 0.4;
   Engine engine(SchedConfig{}, 1, 4, 1);
-  engine.set_reservation_hook(make_ssr(cfg));
+  auto manager = make_ssr(cfg);
+  ReservationManager* mgr = manager.get();
+  engine.set_reservation_hook(std::move(manager));
   const JobId fg = engine.submit(JobBuilder("fg")
                                      .priority(10)
                                      .stage(2, fixed_duration(1.0))
@@ -140,13 +142,72 @@ TEST(CoreEdge, OverrideConsumesPreReservation) {
                                       .submit_at(6.0)
                                       .stage(4, fixed_duration(3.0))
                                       .build());
-  engine.run();
   // At t=5 fg reserves its freed slot and pre-reserves the 2 idle slots.
   // vip (prio 20) arrives at 6 and overrides all three reserved slots for
   // its first 3 tasks (6..9); its 4th waits for one of them (9..12):
-  // JCT = 12 - 6 = 6.  fg survives and re-arms its pre-reservation demand.
+  // JCT = 12 - 6 = 6.  fg survives and re-arms its pre-reservation demand
+  // for the two overridden pre-reserved slots (Algorithm 1, line 17), so
+  // at 9 it grabs vip's freed slots again: the first is overridden at once
+  // by vip's 4th task (re-arming one more), the other two stay fg's.
+  engine.advance_to(9.5);
+  EXPECT_EQ(mgr->reserved_count(fg), 2u);
+  engine.drain();
   EXPECT_DOUBLE_EQ(engine.jct(vip), 6.0);
   EXPECT_TRUE(engine.job_finished(fg));
+}
+
+// Case-2.3 demand competes for freed slots: a slot goes to the
+// highest-priority open demand, and between equal priorities to the
+// earliest stage.  Two reserving jobs each finish one of their two
+// first-phase tasks at t=1 and want two extra slots for their four-wide
+// second phase; a background job frees two slots at t=5.
+struct PreReserveRace {
+  std::size_t first_held = 0;   ///< slots the first-submitted job holds at 6
+  std::size_t second_held = 0;
+};
+
+PreReserveRace race_for_freed_slots(int first_priority, int second_priority) {
+  SsrConfig cfg;
+  cfg.prereserve_threshold = 0.4;
+  cfg.min_reserving_priority = 1;
+  Engine engine(SchedConfig{}, 1, 6, 1);
+  auto manager = make_ssr(cfg);
+  ReservationManager* mgr = manager.get();
+  engine.set_reservation_hook(std::move(manager));
+  auto reserving_job = [](const char* name, int priority) {
+    return JobBuilder(name)
+        .priority(priority)
+        .stage(2, fixed_duration(1.0))
+        .explicit_durations({1.0, 20.0})
+        .stage(4, fixed_duration(5.0))
+        .build();
+  };
+  const JobId first = engine.submit(reserving_job("first", first_priority));
+  const JobId second =
+      engine.submit(reserving_job("second", second_priority));
+  engine.submit(
+      JobBuilder("bg").priority(0).stage(2, fixed_duration(5.0)).build());
+  engine.advance_to(6.0);
+  const PreReserveRace race{mgr->reserved_count(first),
+                            mgr->reserved_count(second)};
+  engine.drain();
+  EXPECT_TRUE(engine.job_finished(first));
+  EXPECT_TRUE(engine.job_finished(second));
+  return race;
+}
+
+TEST(CoreEdge, FreedSlotGoesToHighestPriorityPreReservation) {
+  // Each job holds the slot its first task freed; both freed background
+  // slots go to the later-submitted but higher-priority job.
+  const PreReserveRace race = race_for_freed_slots(10, 20);
+  EXPECT_EQ(race.first_held, 1u);
+  EXPECT_EQ(race.second_held, 3u);
+}
+
+TEST(CoreEdge, FreedSlotGoesToEarliestStageAmongEqualPriorities) {
+  const PreReserveRace race = race_for_freed_slots(10, 10);
+  EXPECT_EQ(race.first_held, 3u);
+  EXPECT_EQ(race.second_held, 1u);
 }
 
 TEST(CoreEdge, SameJobParallelStagesShareReservations) {
