@@ -13,7 +13,7 @@
 #include "ssr/common/table.h"
 #include "ssr/core/reservation_manager.h"
 #include "ssr/exp/scenario.h"
-#include "ssr/metrics/collectors.h"
+#include "ssr/exp/trace_replay.h"
 #include "ssr/sched/engine.h"
 #include "ssr/workload/adjust.h"
 #include "ssr/workload/mlbench.h"
@@ -35,15 +35,18 @@ Outcome run(double alpha, bool mitigate) {
   auto manager = std::make_unique<ReservationManager>(cfg);
   ReservationManager* mgr = manager.get();
   engine.set_reservation_hook(std::move(manager));
-  TaskStatsCollector stats;
-  engine.add_observer(&stats);
+  // Per-job task counters, folded from the engine's event stream.
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
 
   Rng rng(17);
   const JobId job = engine.submit(
       pareto_adjust(make_pagerank(40, 10, 0.0), alpha, rng));
   engine.run();
   return {engine.jct(job), mgr->copies_launched(),
-          stats.stats(job).copies_won};
+          fold.task_stats(job).copies_won};
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "ssr/core/reservation_manager.h"
+#include "ssr/metrics/trace_capture.h"
 #include "ssr/metrics/trace_export.h"
 #include "ssr/sched/engine.h"
 
@@ -20,8 +21,12 @@ int main() {
   Engine engine(SchedConfig{}, 2, 2, 42);
   engine.set_reservation_hook(
       std::make_unique<ReservationManager>(SsrConfig{}));
+  // The engine's event stream, fanned out to the exporter (a replayed
+  // capture would feed the same exporter through TraceReplayer::replay).
+  TraceFanOut stream;
   TraceExporter trace;
-  engine.add_observer(&trace);
+  stream.attach(trace);
+  engine.add_observer(&stream);
 
   engine.submit(JobBuilder("workflow")
                     .priority(10)

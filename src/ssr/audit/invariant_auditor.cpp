@@ -57,24 +57,32 @@ void InvariantAuditor::attach(Engine& engine) {
 }
 
 SlotLedger& InvariantAuditor::ledger(const Engine& engine) {
-  if (!ledger_) {
-    const std::uint32_t n = engine.cluster().num_slots();
-    ledger_.emplace(n);
-    busy_since_.assign(n, kTimeZero);
-    reserved_since_.assign(n, kTimeZero);
-    dead_since_.assign(n, kTimeZero);
+  if (!begun_) {
+    TraceHeader header;
+    header.num_slots = engine.cluster().num_slots();
+    replay_.on_trace_begin(header);
+    busy_since_.assign(header.num_slots, kTimeZero);
+    reserved_since_.assign(header.num_slots, kTimeZero);
+    dead_since_.assign(header.num_slots, kTimeZero);
+    begun_ = true;
   }
-  return *ledger_;
+  return replay_.ledger();
 }
 
 const std::vector<Violation>& InvariantAuditor::violations() const {
   static const std::vector<Violation> kEmpty;
-  return ledger_ ? ledger_->violations() : kEmpty;
+  return begun_ ? replay_.ledger().violations() : kEmpty;
 }
 
-void InvariantAuditor::after_event(const Engine& engine) {
+void InvariantAuditor::emit(const Engine& engine, const TraceEvent& event) {
+  SlotLedger& lg = ledger(engine);
+  advance_mirrors(lg, event);
+  replay_.on_trace_event(event);
+  if (event.kind == TraceEventKind::kRunComplete) {
+    check_run_complete(engine, lg, event.time);
+  }
   ++events_;
-  if (events_ % options_.cross_check_period == 0) cross_check(engine);
+  if (events_ % options_.cross_check_period == 0) cross_check(engine, lg);
   if (options_.throw_on_violation && violations().size() > reported_) {
     const Violation& first = violations()[reported_];
     reported_ = violations().size();
@@ -83,8 +91,46 @@ void InvariantAuditor::after_event(const Engine& engine) {
   reported_ = violations().size();
 }
 
-void InvariantAuditor::cross_check(const Engine& engine) {
-  SlotLedger& lg = ledger(engine);
+void InvariantAuditor::advance_mirrors(const SlotLedger& lg,
+                                       const TraceEvent& e) {
+  switch (e.kind) {
+    case TraceEventKind::kTaskStarted:
+      // A start on a reserved slot consumes the reservation: close its
+      // reserved-idle interval.
+      if (lg.slot_state(e.slot) == LedgerSlotState::ReservedIdle) {
+        reserved_seconds_ += e.time - reserved_since_[e.slot.v];
+      }
+      busy_since_[e.slot.v] = e.time;
+      break;
+    case TraceEventKind::kTaskFinished:
+    case TraceEventKind::kTaskKilled:
+    case TraceEventKind::kTaskFailed:
+      if (lg.slot_state(e.slot) == LedgerSlotState::Busy) {
+        busy_seconds_ += e.time - busy_since_[e.slot.v];
+      }
+      break;
+    case TraceEventKind::kSlotFailed:
+      dead_since_.at(e.slot.v) = e.time;
+      break;
+    case TraceEventKind::kSlotRecovered:
+      if (lg.slot_state(e.slot) == LedgerSlotState::Dead) {
+        dead_seconds_ += e.time - dead_since_[e.slot.v];
+      }
+      break;
+    case TraceEventKind::kSlotReserved:
+      reserved_since_.at(e.slot.v) = e.time;
+      break;
+    case TraceEventKind::kReservationReleased:
+      if (lg.slot_state(e.slot) == LedgerSlotState::ReservedIdle) {
+        reserved_seconds_ += e.time - reserved_since_[e.slot.v];
+      }
+      break;
+    default:
+      break;  // no slot-time transition
+  }
+}
+
+void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
   const Cluster& cluster = engine.cluster();
   const SimTime now = engine.sim().now();
   std::uint32_t idle = 0;
@@ -161,145 +207,8 @@ void InvariantAuditor::cross_check(const Engine& engine) {
   }
 }
 
-// --- EngineObserver ----------------------------------------------------------
-
-void InvariantAuditor::on_job_submitted(const Engine& engine, JobId) {
-  ledger(engine);
-  after_event(engine);
-}
-
-void InvariantAuditor::on_job_finished(const Engine& engine, JobId) {
-  ledger(engine);
-  after_event(engine);
-}
-
-void InvariantAuditor::on_stage_submitted(const Engine& engine,
-                                          StageId stage) {
-  SlotLedger& lg = ledger(engine);
-  const StageSpec& spec = engine.graph(stage.job).stage(stage.index);
-  std::vector<StageId> parents;
-  parents.reserve(spec.parents.size());
-  for (std::uint32_t p : spec.parents) {
-    parents.push_back(StageId{stage.job, p});
-  }
-  lg.on_stage_submitted(stage, parents, engine.sim().now());
-  after_event(engine);
-}
-
-void InvariantAuditor::on_stage_finished(const Engine& engine, StageId stage) {
-  ledger(engine).on_stage_finished(stage, engine.sim().now());
-  after_event(engine);
-}
-
-void InvariantAuditor::on_task_started(const Engine& engine, TaskId task,
-                                       SlotId slot) {
-  SlotLedger& lg = ledger(engine);
-  const SimTime now = engine.sim().now();
-  if (lg.slot_state(slot) == LedgerSlotState::ReservedIdle) {
-    // The start consumes the reservation: close its reserved-idle interval
-    // and validate the claim (priority rule, deadline).
-    reserved_seconds_ += now - reserved_since_[slot.v];
-    lg.on_claim(slot, task, engine.graph(task.stage.job).priority(), now);
-  } else {
-    lg.on_start(slot, task, now);
-  }
-  busy_since_[slot.v] = now;
-  after_event(engine);
-}
-
-void InvariantAuditor::on_task_finished(const Engine& engine, TaskId task,
-                                        SlotId slot) {
-  SlotLedger& lg = ledger(engine);
-  const SimTime now = engine.sim().now();
-  if (lg.slot_state(slot) == LedgerSlotState::Busy) {
-    busy_seconds_ += now - busy_since_[slot.v];
-  }
-  lg.on_finish(slot, task, now);
-  after_event(engine);
-}
-
-void InvariantAuditor::on_task_killed(const Engine& engine, TaskId task,
-                                      SlotId slot) {
-  SlotLedger& lg = ledger(engine);
-  const SimTime now = engine.sim().now();
-  if (lg.slot_state(slot) == LedgerSlotState::Busy) {
-    busy_seconds_ += now - busy_since_[slot.v];
-  }
-  lg.on_kill(slot, task, now);
-  after_event(engine);
-}
-
-void InvariantAuditor::on_task_failed(const Engine& engine, TaskId task,
-                                      SlotId slot) {
-  // Same mirror transition as a race-loss kill: the attempt ends, the slot
-  // empties (it goes Dead in the following on_slot_failed event).
-  SlotLedger& lg = ledger(engine);
-  const SimTime now = engine.sim().now();
-  if (lg.slot_state(slot) == LedgerSlotState::Busy) {
-    busy_seconds_ += now - busy_since_[slot.v];
-  }
-  lg.on_kill(slot, task, now);
-  after_event(engine);
-}
-
-void InvariantAuditor::on_task_requeued(const Engine& engine, TaskId) {
-  ledger(engine);
-  after_event(engine);
-}
-
-void InvariantAuditor::on_stage_invalidated(const Engine& engine,
-                                            StageId stage) {
-  ledger(engine).on_stage_invalidated(stage, engine.sim().now());
-  after_event(engine);
-}
-
-void InvariantAuditor::on_slot_failed(const Engine& engine, SlotId slot) {
-  SlotLedger& lg = ledger(engine);
-  const SimTime now = engine.sim().now();
-  lg.on_fail(slot, now);
-  dead_since_[slot.v] = now;
-  after_event(engine);
-}
-
-void InvariantAuditor::on_slot_recovered(const Engine& engine, SlotId slot) {
-  SlotLedger& lg = ledger(engine);
-  const SimTime now = engine.sim().now();
-  if (lg.slot_state(slot) == LedgerSlotState::Dead) {
-    dead_seconds_ += now - dead_since_[slot.v];
-  }
-  lg.on_recover(slot, now);
-  after_event(engine);
-}
-
-void InvariantAuditor::on_slot_reserved(const Engine& engine, SlotId slot,
-                                        const Reservation& reservation) {
-  SlotLedger& lg = ledger(engine);
-  const SimTime now = engine.sim().now();
-  lg.on_reserve(slot, reservation.job, reservation.priority,
-                reservation.deadline, now);
-  reserved_since_[slot.v] = now;
-  after_event(engine);
-}
-
-void InvariantAuditor::on_reservation_released(const Engine& engine,
-                                               SlotId slot,
-                                               ReservationEndReason reason) {
-  SlotLedger& lg = ledger(engine);
-  const SimTime now = engine.sim().now();
-  if (lg.slot_state(slot) == LedgerSlotState::ReservedIdle) {
-    reserved_seconds_ += now - reserved_since_[slot.v];
-  }
-  lg.on_release(slot,
-                reason == ReservationEndReason::Expired
-                    ? LedgerRelease::Expired
-                    : LedgerRelease::Released,
-                now);
-  after_event(engine);
-}
-
-void InvariantAuditor::on_run_complete(const Engine& engine) {
-  SlotLedger& lg = ledger(engine);
-  const SimTime now = engine.sim().now();
+void InvariantAuditor::check_run_complete(const Engine& engine, SlotLedger& lg,
+                                          SimTime now) {
   const Cluster& cluster = engine.cluster();
   // Engine::run() settles the cluster before notifying, so the cluster
   // totals and the event-stream totals describe the same interval [0, now].
@@ -357,7 +266,6 @@ void InvariantAuditor::on_run_complete(const Engine& engine) {
       }
     }
   }
-  after_event(engine);
 }
 
 }  // namespace ssr::audit

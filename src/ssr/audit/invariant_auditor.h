@@ -1,8 +1,12 @@
 // Runtime invariant auditor for the scheduling engine.
 //
-// InvariantAuditor attaches to an Engine through the EngineObserver seam and
-// validates, on every event, the state-machine invariants the paper states
-// informally (see DESIGN.md §7 for the invariant -> paper mapping):
+// InvariantAuditor attaches to an Engine as a TraceStream: every callback
+// becomes the same TraceEvent a capture would hold, the event drives the
+// SlotLedger through ReplayAuditor (the one event -> ledger mapping, shared
+// with replayed captures), and the auditor adds what only a live engine can
+// answer.  It validates, on every event, the state-machine invariants the
+// paper states informally (see DESIGN.md §7 for the invariant -> paper
+// mapping):
 //
 //  * global slot conservation: idle + busy + reserved-idle == capacity, and
 //    the cluster's idle/reserved index sets agree with per-slot states;
@@ -14,8 +18,8 @@
 //  * barrier ordering: no downstream-phase task starts before every upstream
 //    task finished;
 //  * slot-time accounting: the busy / reserved-idle / dead slot-seconds the
-//    event stream implies (the same stream metrics/collectors consume) match
-//    the cluster's own accounting at end of run;
+//    event stream implies (the same stream the RunResult fold consumes)
+//    match the cluster's own accounting at end of run;
 //  * failure safety: no task starts, claim, or reservation ever touches a
 //    Dead slot, and no logical task is lost — at end of run every submitted
 //    stage is complete even when fault injection killed attempts and
@@ -28,14 +32,14 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "ssr/audit/slot_ledger.h"
+#include "ssr/audit/trace_replay_auditor.h"
 #include "ssr/audit/violation.h"
 #include "ssr/common/ids.h"
-#include "ssr/sched/types.h"
+#include "ssr/metrics/trace_capture.h"
 
 namespace ssr::audit {
 
@@ -55,31 +59,13 @@ struct AuditOptions {
   std::uint64_t cross_check_period = 1;
 };
 
-class InvariantAuditor : public EngineObserver {
+class InvariantAuditor : public TraceStream {
  public:
   explicit InvariantAuditor(AuditOptions options = {});
 
   /// Register with `engine` (non-owning; the auditor must outlive run()).
   /// Must be called before Engine::run().
   void attach(Engine& engine);
-
-  // --- EngineObserver -------------------------------------------------------
-  void on_job_submitted(const Engine&, JobId) override;
-  void on_job_finished(const Engine&, JobId) override;
-  void on_stage_submitted(const Engine&, StageId) override;
-  void on_stage_finished(const Engine&, StageId) override;
-  void on_task_started(const Engine&, TaskId, SlotId) override;
-  void on_task_finished(const Engine&, TaskId, SlotId) override;
-  void on_task_killed(const Engine&, TaskId, SlotId) override;
-  void on_task_failed(const Engine&, TaskId, SlotId) override;
-  void on_task_requeued(const Engine&, TaskId) override;
-  void on_stage_invalidated(const Engine&, StageId) override;
-  void on_slot_failed(const Engine&, SlotId) override;
-  void on_slot_recovered(const Engine&, SlotId) override;
-  void on_slot_reserved(const Engine&, SlotId, const Reservation&) override;
-  void on_reservation_released(const Engine&, SlotId,
-                               ReservationEndReason) override;
-  void on_run_complete(const Engine&) override;
 
   // --- Results --------------------------------------------------------------
 
@@ -89,14 +75,23 @@ class InvariantAuditor : public EngineObserver {
   std::string report() const { return format_report(violations()); }
   std::uint64_t events_audited() const { return events_; }
 
+ protected:
+  /// In order: advance the slot-time mirrors from the ledger state before
+  /// the transition, apply the transition (ReplayAuditor), run the
+  /// end-of-run checks on kRunComplete, then cross-check the cluster and
+  /// apply the throw policy.
+  void emit(const Engine& engine, const TraceEvent& event) override;
+
  private:
+  /// The ledger, sized from `engine` on first use.
   SlotLedger& ledger(const Engine& engine);
-  /// Conservation + mirror-vs-cluster checks, then the throw policy.
-  void after_event(const Engine& engine);
-  void cross_check(const Engine& engine);
+  void advance_mirrors(const SlotLedger& lg, const TraceEvent& event);
+  void check_run_complete(const Engine& engine, SlotLedger& lg, SimTime now);
+  void cross_check(const Engine& engine, SlotLedger& lg);
 
   AuditOptions options_;
-  std::optional<SlotLedger> ledger_;
+  ReplayAuditor replay_;
+  bool begun_ = false;  ///< replay_ has seen on_trace_begin
   std::uint64_t events_ = 0;
   std::size_t reported_ = 0;  ///< violations already thrown for
 

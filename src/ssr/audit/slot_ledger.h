@@ -8,8 +8,9 @@
 // tasks may only start after their stage's barrier cleared; event time never
 // moves backwards.  It is deliberately independent of Engine/Cluster so
 // seeded-bug tests can feed illegal sequences directly and assert the exact
-// invariant id; InvariantAuditor adapts live engine callbacks onto it and
-// adds the cluster cross-checks a mirror alone cannot do.
+// invariant id; ReplayAuditor maps TraceEvents onto it, and InvariantAuditor
+// feeds that mapping live and adds the cluster cross-checks a mirror alone
+// cannot do.
 #pragma once
 
 #include <cstdint>

@@ -19,6 +19,12 @@ const SlotLedger& ReplayAuditor::ledger() const {
   return *ledger_;
 }
 
+SlotLedger& ReplayAuditor::ledger() {
+  SSR_CHECK_MSG(ledger_.has_value(),
+                "ReplayAuditor used before on_trace_begin");
+  return *ledger_;
+}
+
 void ReplayAuditor::on_trace_event(const TraceEvent& e) {
   SlotLedger& lg = *ledger_;
   switch (e.kind) {
@@ -45,8 +51,8 @@ void ReplayAuditor::on_trace_event(const TraceEvent& e) {
       lg.on_stage_invalidated(e.stage, e.time);
       break;
     case TraceEventKind::kTaskStarted:
-      // Same split as the live InvariantAuditor: a start on a slot the
-      // ledger believes reserved is a claim (priority/deadline checks).
+      // A start on a slot the ledger believes reserved is a claim
+      // (priority/deadline checks).
       if (lg.slot_state(e.slot) == LedgerSlotState::ReservedIdle) {
         auto it = priority_.find(e.task.stage.job);
         lg.on_claim(e.slot, e.task,

@@ -1,14 +1,14 @@
-// SlotLedger adapter for captured event streams.
+// The one mapping from TraceEvents to SlotLedger calls.
 //
-// ReplayAuditor re-runs the invariant audit over a trace capture
-// (metrics/trace_capture.h) with no Engine: each TraceEvent maps onto the
-// same SlotLedger call the live InvariantAuditor would have made for the
-// corresponding observer callback (claim-vs-start split on the ledger's own
-// reserved state, task_failed folded onto on_kill, stage parents from the
-// captured barrier lists).  A capture of a clean run must replay clean; a
-// capture that trips the ledger names the violated invariant — the
-// replay-verify CI step uses this to re-certify committed fixtures without
-// re-simulating them.
+// ReplayAuditor runs the invariant audit over an event stream with no
+// Engine: each TraceEvent maps onto one SlotLedger call (claim-vs-start
+// split on the ledger's own reserved state, task_failed folded onto
+// on_kill, stage parents from the captured barrier lists).  It audits a
+// capture through TraceReplayer, and InvariantAuditor forwards every live
+// event to one, adding the cross-checks against the Engine.  A capture of a
+// clean run must replay clean; a capture that trips the ledger names the
+// violated invariant — the replay-verify CI step uses this to re-certify
+// committed fixtures without re-simulating them.
 #pragma once
 
 #include <map>
@@ -27,6 +27,7 @@ class ReplayAuditor : public TraceConsumer {
 
   /// Valid after on_trace_begin (replay() fires it first).
   const SlotLedger& ledger() const;
+  SlotLedger& ledger();
 
   bool clean() const { return ledger().clean(); }
 

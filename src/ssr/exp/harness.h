@@ -1,7 +1,7 @@
 // Shared engine wiring for scenario runners and equivalence tests.
 //
 // ScenarioHarness bundles exactly what run_scenario() builds around an
-// Engine — reservation hook, metrics collectors, failure injector, and
+// Engine — reservation hook, the RunResult fold, failure injector, and
 // (under -DSSR_AUDIT=ON) the invariant auditor — in one construction order,
 // so the closed harness (scenario.cpp), the open-system runner
 // (open_scenario.cpp), and the open-vs-closed equivalence suite all drive
@@ -15,7 +15,8 @@
 #include <vector>
 
 #include "ssr/exp/scenario.h"
-#include "ssr/metrics/collectors.h"
+#include "ssr/exp/trace_replay.h"
+#include "ssr/metrics/trace_capture.h"
 #include "ssr/sched/engine.h"
 #include "ssr/sim/failure_detector.h"
 #include "ssr/sim/failure_injector.h"
@@ -28,12 +29,11 @@ namespace ssr {
 
 class EngineMetrics;
 class ReservationManager;
-class TraceRecorder;
 
 class ScenarioHarness {
  public:
-  /// Builds the engine and attaches, in order: reservation hook, task-stats
-  /// collector, recovery-stats collector, trace recorder (only when
+  /// Builds the engine and attaches, in order: reservation hook, a
+  /// TraceFanOut feeding the RunResult fold, trace recorder (only when
   /// options.capture_path is set), metrics observer (only when
   /// options.metrics is set), failure injector (only for non-empty detected
   /// schedules — a failure-free run stays bit-identical to one that never
@@ -60,18 +60,21 @@ class ScenarioHarness {
   /// The detector's verdict on options.failures (pass-through when off).
   const DetectionOutcome& detection() const { return detection_; }
 
-  /// Collect the RunResult for the given jobs (submission order) after the
-  /// engine drained.  Settles cluster accounting first (idempotent).  Also
-  /// writes the capture file when options.capture_path was set.
+  /// The folded RunResult after the engine drained.  `ids` must be every
+  /// job in submission order, which is the fold's row order.  Throws
+  /// CheckError if the fold disagrees with the Cluster's or Engine's own
+  /// accounting in any bit.  Also writes the capture file when
+  /// options.capture_path was set.
   RunResult collect(const std::vector<JobId>& ids);
 
  private:
   Engine engine_;
-  TaskStatsCollector task_stats_;
-  RecoveryStatsCollector recovery_stats_;
   DetectionOutcome detection_;
   FailureInjector injector_;
+  /// Typed view of the installed hook when it is a ReservationManager.
   const ReservationManager* manager_ = nullptr;
+  TraceFanOut stream_;
+  ReplayResultBuilder fold_;
   std::unique_ptr<TraceRecorder> recorder_;
   std::unique_ptr<EngineMetrics> metrics_;
   /// Registry + policy label for the end-of-run snapshots collect() records

@@ -49,12 +49,19 @@ void ReplayResultBuilder::accrue(SlotMirror& s, SimTime now) {
   s.state_since = now;
 }
 
-void ReplayResultBuilder::record_busy(TaskId task, SimTime now) {
-  auto it = started_at_.find(task);
-  SSR_CHECK_MSG(it != started_at_.end(),
-                "trace ends attempt " << task << " without a start");
-  task_stats_[task.stage.job].busy_seconds += now - it->second;
-  started_at_.erase(it);
+JobTaskStats& ReplayResultBuilder::end_attempt(const TraceEvent& e) {
+  SlotMirror& s = slot_mirror(e.slot);
+  SSR_CHECK_MSG(s.state == kBusy && s.task == e.task,
+                "trace ends attempt " << e.task << " on " << e.slot
+                                      << ", which is not running it");
+  // The slot was stamped when the attempt started and no event touched it
+  // since, so this is exactly the attempt's run time.
+  const double busy = e.time - s.state_since;
+  accrue(s, e.time);
+  s.state = kIdle;
+  JobTaskStats& ts = task_stats_[e.task.stage.job];
+  ts.busy_seconds += busy;
+  return ts;
 }
 
 void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
@@ -76,46 +83,32 @@ void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
       SlotMirror& s = slot_mirror(e.slot);
       accrue(s, e.time);
       s.state = kBusy;
+      s.task = e.task;
       JobTaskStats& ts = task_stats_[e.task.stage.job];
       ++ts.tasks_started;
-      started_at_[e.task] = e.time;
       if (e.task.attempt >= 1) ++ts.copies_started;
       if (e.local) ++ts.local_starts;
       break;
     }
     case TraceEventKind::kTaskFinished: {
-      SlotMirror& s = slot_mirror(e.slot);
-      accrue(s, e.time);
-      s.state = kIdle;
-      JobTaskStats& ts = task_stats_[e.task.stage.job];
+      JobTaskStats& ts = end_attempt(e);
       ++ts.tasks_finished;
       if (e.task.attempt >= 1) ++ts.copies_won;
-      record_busy(e.task, e.time);
       if (failed_pending_.erase(logical_task(e.task)) > 0) {
         ++recovery_.failures_masked;
       }
       break;
     }
-    case TraceEventKind::kTaskKilled: {
-      SlotMirror& s = slot_mirror(e.slot);
-      accrue(s, e.time);
-      s.state = kIdle;
-      ++task_stats_[e.task.stage.job].tasks_killed;
-      record_busy(e.task, e.time);
+    case TraceEventKind::kTaskKilled:
+      ++end_attempt(e).tasks_killed;
       break;
-    }
-    case TraceEventKind::kTaskFailed: {
+    case TraceEventKind::kTaskFailed:
       // The attempt dies and the slot empties; the slot itself goes Dead in
       // the following kSlotFailed event (same split as the live engine).
-      SlotMirror& s = slot_mirror(e.slot);
-      accrue(s, e.time);
-      s.state = kIdle;
-      ++task_stats_[e.task.stage.job].tasks_failed;
-      record_busy(e.task, e.time);
+      ++end_attempt(e).tasks_failed;
       ++recovery_.tasks_failed;
       failed_pending_.insert(logical_task(e.task));
       break;
-    }
     case TraceEventKind::kTaskRequeued:
       ++recovery_.tasks_requeued;
       failed_pending_.erase(logical_task(e.task));
@@ -196,7 +189,7 @@ void ReplayResultBuilder::finalize(SimTime now) {
   if (header_.counts_expired) {
     result_.reservations_expired = expired_releases_;
   }
-  // TaskStatsCollector::totals(): ascending-job fold over the stats map.
+  // Ascending-job fold over the stats map.
   for (const auto& [job, s] : task_stats_) {
     result_.task_totals.tasks_started += s.tasks_started;
     result_.task_totals.tasks_finished += s.tasks_finished;
@@ -211,6 +204,12 @@ void ReplayResultBuilder::finalize(SimTime now) {
   result_.suspicions = header_.suspicions;
   result_.false_suspicions = header_.false_suspicions;
   complete_ = true;
+}
+
+const JobTaskStats& ReplayResultBuilder::task_stats(JobId job) const {
+  static const JobTaskStats kEmpty;
+  auto it = task_stats_.find(job);
+  return it == task_stats_.end() ? kEmpty : it->second;
 }
 
 const RunResult& ReplayResultBuilder::result() const {

@@ -1,32 +1,35 @@
-// Bit-identical RunResult reconstruction from a trace capture.
+// RunResult as a fold over the event stream.
 //
-// ReplayResultBuilder consumes a captured observer stream
-// (metrics/trace_capture.h) and rebuilds the RunResult the live harness
-// produced — without an Engine and without re-simulating.  Bit-identity
-// (digest byte-equality, not approximate equality) holds because every
-// accumulator mirrors its live counterpart's arithmetic and evaluation
-// order exactly:
+// ReplayResultBuilder is the only RunResult builder: ScenarioHarness feeds
+// it live through a TraceFanOut, and a capture (metrics/trace_capture.h)
+// feeds it through TraceReplayer with no Engine and no re-simulation.  The
+// two results are bit-identical (digest byte-equality) because both runs
+// fold the same events with the same arithmetic:
 //
 //   * slot time accounting replays Cluster::accrue verbatim — per-slot
 //     elapsed = now - state_since accumulators, advanced at precisely the
 //     cluster transitions the observer events mark, settled in ascending
 //     slot-id order at run completion (Engine::drain's settle);
-//   * per-job busy seconds and task counters replay TaskStatsCollector's
-//     event-order accumulation (std::map<JobId, ...>, totals folded in
-//     ascending job order);
-//   * recovery counters replay RecoveryStatsCollector's failed-pending set
-//     logic;
+//     ScenarioHarness::collect checks these against the Cluster's own
+//     accounting exactly;
+//   * an attempt's busy seconds are now - state_since of its slot, read
+//     before the slot accrues: the slot was stamped when the attempt
+//     started and no event touches it until the attempt ends;
+//   * per-job task counters accumulate in event order in a
+//     std::map<JobId, ...>, and totals fold in ascending job order;
+//   * recovery counters track logical tasks with an open failed attempt
+//     (a requeue resolves it as re-run, a finish as masked by a twin);
 //   * reservations_expired counts Expired-reason releases, which equals
 //     ReservationManager::reservations_expired() (the manager erases its
 //     record before self-initiated releases, so only engine expiry releases
 //     reach its on_slot_idle reconciliation) — reconstructed only when the
-//     capture header says a manager was installed;
+//     header says a manager was installed;
 //   * job rows come out in ascending dense JobId order, which is submission
 //     order for both the closed and the open harness.
 //
 // Not reconstructed: RunResult::tenants (the VirtualClusterManager's
 // admission ledger sees rejected submissions that never reach the engine's
-// observer seam; the capture records admitted work only).
+// observer seam; the stream carries admitted work only).
 #pragma once
 
 #include <cstdint>
@@ -50,8 +53,12 @@ class ReplayResultBuilder : public TraceConsumer {
   /// True once the capture's kRunComplete event was consumed.
   bool complete() const { return complete_; }
 
-  /// The reconstructed result; valid only when complete().
+  /// The folded result; throws CheckError unless complete().
   const RunResult& result() const;
+
+  /// Counters so far, readable mid-run (an unknown job reads all zero).
+  const JobTaskStats& task_stats(JobId job) const;
+  const RecoveryStats& recovery() const { return recovery_; }
 
  private:
   struct SlotMirror {
@@ -62,6 +69,7 @@ class ReplayResultBuilder : public TraceConsumer {
     double reserved_idle = 0.0;
     double dead = 0.0;
     JobId reserved_job;  ///< valid while state == ReservedIdle
+    TaskId task;         ///< valid while state == Busy
   };
   struct JobMirror {
     std::string name;
@@ -72,7 +80,10 @@ class ReplayResultBuilder : public TraceConsumer {
 
   void accrue(SlotMirror& s, SimTime now);
   SlotMirror& slot_mirror(SlotId slot);
-  void record_busy(TaskId task, SimTime now);
+  /// Ends the attempt running on the event's slot: accrues the slot, leaves
+  /// it Idle, and returns the attempt's stats row after adding its busy
+  /// seconds.  Throws CheckError unless the slot is Busy with that attempt.
+  JobTaskStats& end_attempt(const TraceEvent& e);
   void finalize(SimTime now);
 
   TraceHeader header_;
@@ -84,11 +95,10 @@ class ReplayResultBuilder : public TraceConsumer {
   /// the same accrue calls happen at the same event points).
   std::unordered_map<JobId, double> reserved_idle_by_job_;
   std::map<JobId, JobMirror> jobs_;
-  /// TaskStatsCollector mirror.
   std::map<JobId, JobTaskStats> task_stats_;
-  std::unordered_map<TaskId, SimTime> started_at_;
-  /// RecoveryStatsCollector mirror.
   RecoveryStats recovery_;
+  /// Logical tasks ((job, stage, index)) with a failed attempt whose fate is
+  /// still open.
   std::set<std::tuple<JobId, std::uint32_t, std::uint32_t>> failed_pending_;
   std::uint64_t expired_releases_ = 0;
 };

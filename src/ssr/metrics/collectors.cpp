@@ -57,124 +57,6 @@ std::vector<std::pair<SimTime, int>> RunningTasksSeries::sampled(
   return out;
 }
 
-// --- TaskStatsCollector --------------------------------------------------------
-
-void TaskStatsCollector::on_task_started(const Engine& engine, TaskId task,
-                                         SlotId) {
-  JobTaskStats& s = by_job_[task.stage.job];
-  ++s.tasks_started;
-  started_at_[task] = engine.sim().now();
-  if (task.attempt >= 1) ++s.copies_started;
-  const StageRuntime* st =
-      static_cast<const Engine&>(engine).stage_runtime(task.stage);
-  if (st != nullptr) {
-    // find_attempt is non-const; use the documented locality flag via a
-    // const-friendly lookup of the attempt that just started.
-    const StageRuntime* rt = st;
-    if (task.attempt == 0 && task.index < rt->parallelism() &&
-        rt->original(task.index).local) {
-      ++s.local_starts;
-    }
-  }
-}
-
-void TaskStatsCollector::on_task_finished(const Engine& engine, TaskId task,
-                                          SlotId) {
-  JobTaskStats& s = by_job_[task.stage.job];
-  ++s.tasks_finished;
-  if (task.attempt >= 1) ++s.copies_won;
-  record_busy(engine, task);
-}
-
-void TaskStatsCollector::on_task_killed(const Engine& engine, TaskId task,
-                                        SlotId) {
-  ++by_job_[task.stage.job].tasks_killed;
-  record_busy(engine, task);
-}
-
-void TaskStatsCollector::on_task_failed(const Engine& engine, TaskId task,
-                                        SlotId) {
-  ++by_job_[task.stage.job].tasks_failed;
-  record_busy(engine, task);
-}
-
-void TaskStatsCollector::record_busy(const Engine& engine, TaskId task) {
-  auto it = started_at_.find(task);
-  SSR_CHECK_MSG(it != started_at_.end(), "attempt ended without a start");
-  by_job_[task.stage.job].busy_seconds += engine.sim().now() - it->second;
-  started_at_.erase(it);
-}
-
-const JobTaskStats& TaskStatsCollector::stats(JobId job) const {
-  static const JobTaskStats kEmpty;
-  auto it = by_job_.find(job);
-  return it == by_job_.end() ? kEmpty : it->second;
-}
-
-JobTaskStats TaskStatsCollector::totals() const {
-  JobTaskStats t;
-  for (const auto& [job, s] : by_job_) {
-    t.tasks_started += s.tasks_started;
-    t.tasks_finished += s.tasks_finished;
-    t.tasks_killed += s.tasks_killed;
-    t.tasks_failed += s.tasks_failed;
-    t.copies_started += s.copies_started;
-    t.copies_won += s.copies_won;
-    t.local_starts += s.local_starts;
-    t.busy_seconds += s.busy_seconds;
-  }
-  return t;
-}
-
-// --- RecoveryStatsCollector -----------------------------------------------------
-
-namespace {
-
-std::tuple<JobId, std::uint32_t, std::uint32_t> logical_task(TaskId task) {
-  return {task.stage.job, task.stage.index, task.index};
-}
-
-}  // namespace
-
-void RecoveryStatsCollector::on_task_failed(const Engine&, TaskId task,
-                                            SlotId) {
-  ++stats_.tasks_failed;
-  failed_pending_.insert(logical_task(task));
-}
-
-void RecoveryStatsCollector::on_task_requeued(const Engine&, TaskId task) {
-  ++stats_.tasks_requeued;
-  failed_pending_.erase(logical_task(task));
-}
-
-void RecoveryStatsCollector::on_task_finished(const Engine&, TaskId task,
-                                              SlotId) {
-  // A finish of a logical task with an open failed attempt: the surviving
-  // twin completed the work, so the failure was masked without a re-run.
-  if (failed_pending_.erase(logical_task(task)) > 0) {
-    ++stats_.failures_masked;
-  }
-}
-
-void RecoveryStatsCollector::on_stage_invalidated(const Engine&, StageId) {
-  ++stats_.stages_invalidated;
-}
-
-void RecoveryStatsCollector::on_slot_failed(const Engine&, SlotId) {
-  ++stats_.slots_failed;
-}
-
-void RecoveryStatsCollector::on_slot_recovered(const Engine&, SlotId) {
-  ++stats_.slots_recovered;
-}
-
-void RecoveryStatsCollector::on_reservation_released(
-    const Engine&, SlotId, ReservationEndReason reason) {
-  if (reason == ReservationEndReason::SlotFailed) {
-    ++stats_.reservations_broken;
-  }
-}
-
 // --- JctCollector ---------------------------------------------------------------
 
 void JctCollector::on_job_finished(const Engine& engine, JobId job) {

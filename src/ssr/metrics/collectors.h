@@ -1,15 +1,12 @@
 // Metrics collectors: EngineObservers that record what the paper's
-// evaluation plots — running-task counts over time (Figs. 5, 13), per-job
-// task statistics (locality fractions, straggler copies), and job
-// completion times.
+// evaluation plots — running-task counts over time (Figs. 5, 13) and job
+// completion times — plus the per-job task and recovery counter records
+// that exp/trace_replay.h's ReplayResultBuilder folds from the event stream.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
-#include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "ssr/common/ids.h"
@@ -42,7 +39,7 @@ class RunningTasksSeries : public EngineObserver {
   std::map<JobId, std::vector<std::pair<SimTime, int>>> changes_;
 };
 
-/// Per-job aggregate task statistics.
+/// Per-job aggregate task statistics (ReplayResultBuilder::task_stats).
 struct JobTaskStats {
   std::uint64_t tasks_started = 0;
   std::uint64_t tasks_finished = 0;  ///< winning attempts only
@@ -55,25 +52,6 @@ struct JobTaskStats {
   double busy_seconds = 0.0;
 };
 
-class TaskStatsCollector : public EngineObserver {
- public:
-  void on_task_started(const Engine&, TaskId, SlotId) override;
-  void on_task_finished(const Engine&, TaskId, SlotId) override;
-  void on_task_killed(const Engine&, TaskId, SlotId) override;
-  void on_task_failed(const Engine&, TaskId, SlotId) override;
-
-  const JobTaskStats& stats(JobId job) const;
-  JobTaskStats totals() const;
-
- private:
-  void record_busy(const Engine& engine, TaskId task);
-
-  std::map<JobId, JobTaskStats> by_job_;
-  /// Start times of in-flight attempts, to attribute busy slot-seconds.
-  /// Hashed: this sees every attempt start/stop, and ordering is unused.
-  std::unordered_map<TaskId, SimTime> started_at_;
-};
-
 /// Job completion records, in finish order.
 struct JobCompletion {
   JobId job;
@@ -84,7 +62,8 @@ struct JobCompletion {
   SimDuration jct() const { return finish - submit; }
 };
 
-/// Fault-injection and recovery counters (DESIGN.md §9).
+/// Fault-injection and recovery counters (DESIGN.md §9;
+/// ReplayResultBuilder::recovery).
 struct RecoveryStats {
   std::uint64_t slots_failed = 0;      ///< fail transitions applied to slots
   std::uint64_t slots_recovered = 0;   ///< Dead -> Idle transitions
@@ -93,27 +72,6 @@ struct RecoveryStats {
   std::uint64_t failures_masked = 0;   ///< failed attempts whose twin won
   std::uint64_t stages_invalidated = 0;  ///< finished stages re-opened
   std::uint64_t reservations_broken = 0;  ///< reservations ended by slot death
-};
-
-class RecoveryStatsCollector : public EngineObserver {
- public:
-  void on_task_failed(const Engine&, TaskId, SlotId) override;
-  void on_task_requeued(const Engine&, TaskId) override;
-  void on_task_finished(const Engine&, TaskId, SlotId) override;
-  void on_stage_invalidated(const Engine&, StageId) override;
-  void on_slot_failed(const Engine&, SlotId) override;
-  void on_slot_recovered(const Engine&, SlotId) override;
-  void on_reservation_released(const Engine&, SlotId,
-                               ReservationEndReason) override;
-
-  const RecoveryStats& stats() const { return stats_; }
-
- private:
-  RecoveryStats stats_;
-  /// Logical tasks ((job, stage, index) via TaskId with attempt erased) with
-  /// a failed attempt whose fate is still open: a requeue counts the failure
-  /// as recovered-by-rerun, a finish counts it as masked by a live twin.
-  std::set<std::tuple<JobId, std::uint32_t, std::uint32_t>> failed_pending_;
 };
 
 class JctCollector : public EngineObserver {

@@ -123,7 +123,140 @@ struct Cursor {
 
 }  // namespace
 
-// --- TraceRecorder -----------------------------------------------------------
+// --- TraceStream -------------------------------------------------------------
+
+namespace {
+
+TraceEvent event_at(const Engine& engine, TraceEventKind kind) {
+  TraceEvent e;
+  e.kind = kind;
+  e.time = engine.sim().now();
+  return e;
+}
+
+TraceEvent task_event(const Engine& engine, TraceEventKind kind, TaskId task,
+                      SlotId slot) {
+  TraceEvent e = event_at(engine, kind);
+  e.task = task;
+  e.slot = slot;
+  return e;
+}
+
+}  // namespace
+
+void TraceStream::on_job_submitted(const Engine& engine, JobId job) {
+  TraceEvent e = event_at(engine, TraceEventKind::kJobSubmitted);
+  e.job = job;
+  e.job_name = engine.job_name(job);
+  e.priority = engine.graph(job).priority();
+  if (tenant_of_) {
+    const std::string* tenant = tenant_of_(job);
+    if (tenant != nullptr) e.tenant = *tenant;
+  }
+  emit(engine, e);
+}
+
+void TraceStream::on_job_finished(const Engine& engine, JobId job) {
+  TraceEvent e = event_at(engine, TraceEventKind::kJobFinished);
+  e.job = job;
+  emit(engine, e);
+}
+
+void TraceStream::on_stage_submitted(const Engine& engine, StageId stage) {
+  TraceEvent e = event_at(engine, TraceEventKind::kStageSubmitted);
+  e.stage = stage;
+  e.parents = engine.graph(stage.job).stage(stage.index).parents;
+  emit(engine, e);
+}
+
+void TraceStream::on_stage_finished(const Engine& engine, StageId stage) {
+  TraceEvent e = event_at(engine, TraceEventKind::kStageFinished);
+  e.stage = stage;
+  emit(engine, e);
+}
+
+void TraceStream::on_task_started(const Engine& engine, TaskId task,
+                                  SlotId slot) {
+  TraceEvent e = task_event(engine, TraceEventKind::kTaskStarted, task, slot);
+  // Captured so a replay reproduces local_starts without a StageRuntime.
+  const StageRuntime* rt = engine.stage_runtime(task.stage);
+  e.local = rt != nullptr && task.attempt == 0 &&
+            task.index < rt->parallelism() && rt->original(task.index).local;
+  emit(engine, e);
+}
+
+void TraceStream::on_task_finished(const Engine& engine, TaskId task,
+                                   SlotId slot) {
+  emit(engine,
+       task_event(engine, TraceEventKind::kTaskFinished, task, slot));
+}
+
+void TraceStream::on_task_killed(const Engine& engine, TaskId task,
+                                 SlotId slot) {
+  emit(engine, task_event(engine, TraceEventKind::kTaskKilled, task, slot));
+}
+
+void TraceStream::on_task_failed(const Engine& engine, TaskId task,
+                                 SlotId slot) {
+  emit(engine, task_event(engine, TraceEventKind::kTaskFailed, task, slot));
+}
+
+void TraceStream::on_task_requeued(const Engine& engine, TaskId task) {
+  TraceEvent e = event_at(engine, TraceEventKind::kTaskRequeued);
+  e.task = task;
+  emit(engine, e);
+}
+
+void TraceStream::on_stage_invalidated(const Engine& engine, StageId stage) {
+  TraceEvent e = event_at(engine, TraceEventKind::kStageInvalidated);
+  e.stage = stage;
+  emit(engine, e);
+}
+
+void TraceStream::on_slot_failed(const Engine& engine, SlotId slot) {
+  TraceEvent e = event_at(engine, TraceEventKind::kSlotFailed);
+  e.slot = slot;
+  emit(engine, e);
+}
+
+void TraceStream::on_slot_recovered(const Engine& engine, SlotId slot) {
+  TraceEvent e = event_at(engine, TraceEventKind::kSlotRecovered);
+  e.slot = slot;
+  emit(engine, e);
+}
+
+void TraceStream::on_slot_reserved(const Engine& engine, SlotId slot,
+                                   const Reservation& reservation) {
+  TraceEvent e = event_at(engine, TraceEventKind::kSlotReserved);
+  e.slot = slot;
+  e.job = reservation.job;
+  e.priority = reservation.priority;
+  e.deadline = reservation.deadline;
+  e.for_stage = reservation.for_stage;
+  e.token = reservation.token;
+  emit(engine, e);
+}
+
+void TraceStream::on_reservation_released(const Engine& engine, SlotId slot,
+                                          ReservationEndReason reason) {
+  TraceEvent e = event_at(engine, TraceEventKind::kReservationReleased);
+  e.slot = slot;
+  e.reason = reason;
+  emit(engine, e);
+}
+
+void TraceStream::on_run_complete(const Engine& engine) {
+  emit(engine, event_at(engine, TraceEventKind::kRunComplete));
+}
+
+// --- TraceRecorder / TraceFanOut --------------------------------------------
+
+TraceHeader header_for(const Engine& engine) {
+  TraceHeader header;
+  header.num_nodes = engine.cluster().num_nodes();
+  header.num_slots = engine.cluster().num_slots();
+  return header;
+}
 
 TraceRecorder::TraceRecorder(std::uint32_t num_nodes, std::uint32_t num_slots,
                              std::uint64_t seed, std::string policy,
@@ -135,110 +268,17 @@ TraceRecorder::TraceRecorder(std::uint32_t num_nodes, std::uint32_t num_slots,
   header_.counts_expired = counts_expired;
 }
 
-TraceEvent& TraceRecorder::push(const Engine& engine, TraceEventKind kind) {
-  events_.emplace_back();
-  TraceEvent& e = events_.back();
-  e.kind = kind;
-  e.time = engine.sim().now();
-  return e;
+void TraceRecorder::emit(const Engine&, const TraceEvent& event) {
+  events_.push_back(event);
 }
 
-void TraceRecorder::on_job_submitted(const Engine& engine, JobId job) {
-  TraceEvent& e = push(engine, TraceEventKind::kJobSubmitted);
-  e.job = job;
-  e.job_name = engine.job_name(job);
-  e.priority = engine.graph(job).priority();
-  if (tenant_of_) {
-    const std::string* tenant = tenant_of_(job);
-    if (tenant != nullptr) e.tenant = *tenant;
-  }
+void TraceFanOut::attach(TraceConsumer& consumer) {
+  consumer.on_trace_begin(header_);
+  consumers_.push_back(&consumer);
 }
 
-void TraceRecorder::on_job_finished(const Engine& engine, JobId job) {
-  push(engine, TraceEventKind::kJobFinished).job = job;
-}
-
-void TraceRecorder::on_stage_submitted(const Engine& engine, StageId stage) {
-  TraceEvent& e = push(engine, TraceEventKind::kStageSubmitted);
-  e.stage = stage;
-  e.parents = engine.graph(stage.job).stage(stage.index).parents;
-}
-
-void TraceRecorder::on_stage_finished(const Engine& engine, StageId stage) {
-  push(engine, TraceEventKind::kStageFinished).stage = stage;
-}
-
-void TraceRecorder::on_task_started(const Engine& engine, TaskId task,
-                                    SlotId slot) {
-  TraceEvent& e = push(engine, TraceEventKind::kTaskStarted);
-  e.task = task;
-  e.slot = slot;
-  // Same locality rule as TaskStatsCollector::on_task_started, captured so
-  // a replay reproduces local_starts without a StageRuntime.
-  const StageRuntime* rt = engine.stage_runtime(task.stage);
-  if (rt != nullptr && task.attempt == 0 && task.index < rt->parallelism() &&
-      rt->original(task.index).local) {
-    e.local = true;
-  }
-}
-
-void TraceRecorder::on_task_finished(const Engine& engine, TaskId task,
-                                     SlotId slot) {
-  TraceEvent& e = push(engine, TraceEventKind::kTaskFinished);
-  e.task = task;
-  e.slot = slot;
-}
-
-void TraceRecorder::on_task_killed(const Engine& engine, TaskId task,
-                                   SlotId slot) {
-  TraceEvent& e = push(engine, TraceEventKind::kTaskKilled);
-  e.task = task;
-  e.slot = slot;
-}
-
-void TraceRecorder::on_task_failed(const Engine& engine, TaskId task,
-                                   SlotId slot) {
-  TraceEvent& e = push(engine, TraceEventKind::kTaskFailed);
-  e.task = task;
-  e.slot = slot;
-}
-
-void TraceRecorder::on_task_requeued(const Engine& engine, TaskId task) {
-  push(engine, TraceEventKind::kTaskRequeued).task = task;
-}
-
-void TraceRecorder::on_stage_invalidated(const Engine& engine, StageId stage) {
-  push(engine, TraceEventKind::kStageInvalidated).stage = stage;
-}
-
-void TraceRecorder::on_slot_failed(const Engine& engine, SlotId slot) {
-  push(engine, TraceEventKind::kSlotFailed).slot = slot;
-}
-
-void TraceRecorder::on_slot_recovered(const Engine& engine, SlotId slot) {
-  push(engine, TraceEventKind::kSlotRecovered).slot = slot;
-}
-
-void TraceRecorder::on_slot_reserved(const Engine& engine, SlotId slot,
-                                     const Reservation& reservation) {
-  TraceEvent& e = push(engine, TraceEventKind::kSlotReserved);
-  e.slot = slot;
-  e.job = reservation.job;
-  e.priority = reservation.priority;
-  e.deadline = reservation.deadline;
-  e.for_stage = reservation.for_stage;
-  e.token = reservation.token;
-}
-
-void TraceRecorder::on_reservation_released(const Engine& engine, SlotId slot,
-                                            ReservationEndReason reason) {
-  TraceEvent& e = push(engine, TraceEventKind::kReservationReleased);
-  e.slot = slot;
-  e.reason = reason;
-}
-
-void TraceRecorder::on_run_complete(const Engine& engine) {
-  push(engine, TraceEventKind::kRunComplete);
+void TraceFanOut::emit(const Engine&, const TraceEvent& event) {
+  for (TraceConsumer* c : consumers_) c->on_trace_event(event);
 }
 
 // --- Serialization -----------------------------------------------------------
@@ -463,43 +503,6 @@ void TraceReplayer::replay(const std::vector<TraceConsumer*>& consumers) const {
   for (TraceConsumer* c : consumers) c->on_trace_begin(header_);
   for (const TraceEvent& e : events_) {
     for (TraceConsumer* c : consumers) c->on_trace_event(e);
-  }
-}
-
-// --- TraceExportFeeder -------------------------------------------------------
-
-void TraceExportFeeder::on_trace_event(const TraceEvent& event) {
-  switch (event.kind) {
-    case TraceEventKind::kJobSubmitted: {
-      jobs_[event.job] = {event.job_name, event.tenant};
-      exporter_.record_instant("submit " + event.job_name, event.time);
-      break;
-    }
-    case TraceEventKind::kJobFinished: {
-      auto it = jobs_.find(event.job);
-      SSR_CHECK_MSG(it != jobs_.end(),
-                    "trace finishes " << event.job << " before submitting it");
-      exporter_.record_instant("finish " + it->second.first, event.time);
-      break;
-    }
-    case TraceEventKind::kTaskStarted: {
-      auto it = jobs_.find(event.task.stage.job);
-      SSR_CHECK_MSG(it != jobs_.end(), "trace starts a task of "
-                                           << event.task.stage.job
-                                           << " before submitting the job");
-      exporter_.record_task_started(event.time, event.task, event.slot,
-                                    it->second.first, it->second.second);
-      break;
-    }
-    case TraceEventKind::kTaskFinished:
-      exporter_.record_task_finished(event.time, event.task, event.slot);
-      break;
-    case TraceEventKind::kTaskKilled:
-    case TraceEventKind::kTaskFailed:
-      exporter_.record_task_killed(event.time, event.task, event.slot);
-      break;
-    default:
-      break;
   }
 }
 

@@ -1,15 +1,15 @@
 // Replayable capture of the engine's observer event stream.
 //
-// TraceRecorder is an EngineObserver that snapshots every callback of the
-// audit seam (sched/types.h) into a self-contained TraceEvent record: each
-// event carries the derived context a consumer would otherwise pull from the
-// live Engine — the submitting job's name/priority/tenant, the data-locality
-// flag of a starting attempt, the full Reservation of a reserve, a stage's
-// parent list.  The capture can therefore re-drive every consumer-side chain
-// (metric collectors, the SlotLedger invariant auditor, the Chrome-trace
-// exporter, the RunResult/digest pipeline) from file, with no Engine and no
-// re-simulation — see exp/trace_replay.h for the bit-identical RunResult
-// reconstruction this enables.
+// TraceStream is the one place EngineObserver callbacks become TraceEvent
+// records: each event carries the derived context a consumer would otherwise
+// pull from the live Engine — the submitting job's name/priority/tenant, the
+// data-locality flag of a starting attempt, the full Reservation of a
+// reserve, a stage's parent list.  Every consumer-side chain (the RunResult
+// fold, the SlotLedger invariant audit, the Chrome-trace exporter) is a
+// TraceConsumer over those records, so one implementation serves both a live
+// run (TraceFanOut) and a capture re-driven from file (TraceReplayer), with
+// no Engine and no re-simulation — see exp/trace_replay.h for the RunResult
+// fold this enables.
 //
 // The on-disk format (ssr-trace v1) is a compact little-endian binary:
 //
@@ -29,14 +29,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ssr/common/ids.h"
 #include "ssr/common/time.h"
-#include "ssr/metrics/trace_export.h"
 #include "ssr/sched/types.h"
 
 namespace ssr {
@@ -47,7 +45,8 @@ inline constexpr std::uint32_t kTraceVersion = 1;
 
 /// One EngineObserver callback, in capture order.  Discriminants match the
 /// callback that produced the record; every on_* callback of EngineObserver
-/// has exactly one kind here (the lint trace-schema rule enforces this).
+/// has exactly one kind here (the analyzer's observer-schema rule enforces
+/// this).
 enum class TraceEventKind : std::uint8_t {
   kJobSubmitted = 1,
   kJobFinished = 2,
@@ -82,7 +81,7 @@ struct TraceEvent {
   int priority = 0;
 
   /// kTaskStarted: the attempt launched with data locality (original
-  /// attempts only; mirrors TaskStatsCollector's local_starts rule).
+  /// attempts only; JobTaskStats::local_starts counts these).
   bool local = false;
 
   // kSlotReserved: the full Reservation.
@@ -95,6 +94,8 @@ struct TraceEvent {
 
   /// kStageSubmitted: parent stage indexes within the job (barrier inputs).
   std::vector<std::uint32_t> parents;
+
+  bool operator==(const TraceEvent&) const = default;
 };
 
 /// Run-level context every consumer needs before the first event.
@@ -114,8 +115,13 @@ struct TraceHeader {
   std::string policy;  ///< label only (e.g. "ssr", "nossr")
 };
 
-/// Consumer side of a replay: TraceReplayer::replay drives these in file
-/// order, exactly as the live engine drove its observers.
+/// A header with `engine`'s cluster shape (num_nodes, num_slots) and every
+/// run-level field at its default: what a live TraceFanOut needs when its
+/// consumers do not read seed, policy or detector outcome.
+TraceHeader header_for(const Engine& engine);
+
+/// Consumer side of the stream: TraceFanOut drives these live and
+/// TraceReplayer::replay drives them from a capture, in the same order.
 class TraceConsumer {
  public:
   virtual ~TraceConsumer() = default;
@@ -125,18 +131,52 @@ class TraceConsumer {
   virtual void on_trace_event(const TraceEvent& event) = 0;
 };
 
-/// Captures the observer stream of one run.  Attach alongside (not instead
-/// of) the normal collectors; recording is passive and order-preserving.
-class TraceRecorder : public EngineObserver {
+/// The one conversion from EngineObserver callbacks to TraceEvents.  Each
+/// callback fills an event (time, ids, and the derived context listed in the
+/// file comment) and hands it to emit(); subclasses decide what an event is
+/// for.
+class TraceStream : public EngineObserver {
  public:
-  TraceRecorder(std::uint32_t num_nodes, std::uint32_t num_slots,
-                std::uint64_t seed, std::string policy, bool counts_expired);
-
   /// Resolve an admitted job to its tenant at on_job_submitted time; nullptr
   /// or unset = untenanted (VirtualClusterManager::tenant_of is canonical).
   void set_tenant_resolver(std::function<const std::string*(JobId)> resolver) {
     tenant_of_ = std::move(resolver);
   }
+
+  void on_job_submitted(const Engine& engine, JobId job) final;
+  void on_job_finished(const Engine& engine, JobId job) final;
+  void on_stage_submitted(const Engine& engine, StageId stage) final;
+  void on_stage_finished(const Engine& engine, StageId stage) final;
+  void on_task_started(const Engine& engine, TaskId task, SlotId slot) final;
+  void on_task_finished(const Engine& engine, TaskId task, SlotId slot) final;
+  void on_task_killed(const Engine& engine, TaskId task, SlotId slot) final;
+  void on_task_failed(const Engine& engine, TaskId task, SlotId slot) final;
+  void on_task_requeued(const Engine& engine, TaskId task) final;
+  void on_stage_invalidated(const Engine& engine, StageId stage) final;
+  void on_slot_failed(const Engine& engine, SlotId slot) final;
+  void on_slot_recovered(const Engine& engine, SlotId slot) final;
+  void on_slot_reserved(const Engine& engine, SlotId slot,
+                        const Reservation& reservation) final;
+  void on_reservation_released(const Engine& engine, SlotId slot,
+                               ReservationEndReason reason) final;
+  void on_run_complete(const Engine& engine) final;
+
+ protected:
+  /// Receives every event, in callback order; `engine` is the one that
+  /// fired the callback.
+  virtual void emit(const Engine& engine, const TraceEvent& event) = 0;
+
+ private:
+  std::function<const std::string*(JobId)> tenant_of_;
+};
+
+/// Captures the event stream of one run for serialization.  Attach
+/// alongside (not instead of) other observers; recording is passive and
+/// order-preserving.
+class TraceRecorder : public TraceStream {
+ public:
+  TraceRecorder(std::uint32_t num_nodes, std::uint32_t num_slots,
+                std::uint64_t seed, std::string policy, bool counts_expired);
 
   /// Record the detector outcome (harness calls this after the transform;
   /// suspicion counts are inputs to the run, not observer events).
@@ -146,25 +186,6 @@ class TraceRecorder : public EngineObserver {
     header_.false_suspicions = false_suspicions;
   }
 
-  void on_job_submitted(const Engine& engine, JobId job) override;
-  void on_job_finished(const Engine& engine, JobId job) override;
-  void on_stage_submitted(const Engine& engine, StageId stage) override;
-  void on_stage_finished(const Engine& engine, StageId stage) override;
-  void on_task_started(const Engine& engine, TaskId task, SlotId slot) override;
-  void on_task_finished(const Engine& engine, TaskId task,
-                        SlotId slot) override;
-  void on_task_killed(const Engine& engine, TaskId task, SlotId slot) override;
-  void on_task_failed(const Engine& engine, TaskId task, SlotId slot) override;
-  void on_task_requeued(const Engine& engine, TaskId task) override;
-  void on_stage_invalidated(const Engine& engine, StageId stage) override;
-  void on_slot_failed(const Engine& engine, SlotId slot) override;
-  void on_slot_recovered(const Engine& engine, SlotId slot) override;
-  void on_slot_reserved(const Engine& engine, SlotId slot,
-                        const Reservation& reservation) override;
-  void on_reservation_released(const Engine& engine, SlotId slot,
-                               ReservationEndReason reason) override;
-  void on_run_complete(const Engine& engine) override;
-
   const TraceHeader& header() const { return header_; }
   const std::vector<TraceEvent>& events() const { return events_; }
 
@@ -172,12 +193,31 @@ class TraceRecorder : public EngineObserver {
   std::string serialize() const;
   void write_file(const std::string& path) const;
 
- private:
-  TraceEvent& push(const Engine& engine, TraceEventKind kind);
+ protected:
+  void emit(const Engine& engine, const TraceEvent& event) override;
 
+ private:
   TraceHeader header_;
-  std::function<const std::string*(JobId)> tenant_of_;
   std::vector<TraceEvent> events_;
+};
+
+/// Drives TraceConsumers from a live engine: the live twin of
+/// TraceReplayer::replay.  Consumers see each event in attach order, and all
+/// of them see an event before any sees the next.
+class TraceFanOut : public TraceStream {
+ public:
+  explicit TraceFanOut(TraceHeader header = {}) : header_(std::move(header)) {}
+
+  /// Fires consumer.on_trace_begin(header) now; the consumer then receives
+  /// every later event.  Non-owning: the consumer must outlive the run.
+  void attach(TraceConsumer& consumer);
+
+ protected:
+  void emit(const Engine& engine, const TraceEvent& event) override;
+
+ private:
+  TraceHeader header_;
+  std::vector<TraceConsumer*> consumers_;
 };
 
 /// Parses a capture eagerly (validating as it goes) and re-drives consumers.
@@ -206,21 +246,5 @@ class TraceReplayer {
 /// Serialize just the events (testing seam; serialize() wraps this).
 std::string serialize_trace(const TraceHeader& header,
                             const std::vector<TraceEvent>& events);
-
-/// Rebuilds a Chrome-trace export from a capture: attempts reconstructed
-/// from start/finish/kill events, job submit/finish instants, per-tenant
-/// tracks from the captured tenant labels.  The exporter must outlive the
-/// replay.
-class TraceExportFeeder : public TraceConsumer {
- public:
-  explicit TraceExportFeeder(TraceExporter& exporter) : exporter_(exporter) {}
-
-  void on_trace_event(const TraceEvent& event) override;
-
- private:
-  TraceExporter& exporter_;
-  /// Job context captured from kJobSubmitted (name, tenant), keyed by id.
-  std::map<JobId, std::pair<std::string, std::string>> jobs_;
-};
 
 }  // namespace ssr

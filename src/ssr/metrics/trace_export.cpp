@@ -5,7 +5,6 @@
 
 #include "ssr/common/check.h"
 #include "ssr/metrics/json.h"
-#include "ssr/sched/engine.h"
 
 namespace ssr {
 namespace {
@@ -27,68 +26,56 @@ std::uint32_t TraceExporter::track_of(const std::string& tenant) {
   return it->second;
 }
 
-void TraceExporter::record_task_started(SimTime now, TaskId task, SlotId slot,
-                                        std::string job_name,
-                                        const std::string& tenant) {
-  Attempt a;
-  a.task = task;
-  a.slot = slot;
-  a.start = now;
-  a.job_name = std::move(job_name);
-  a.track = track_of(tenant);
-  open_[task] = events_.size();
-  events_.push_back(std::move(a));
+const std::pair<std::string, std::string>& TraceExporter::job_of(
+    JobId job) const {
+  auto it = jobs_.find(job);
+  SSR_CHECK_MSG(it != jobs_.end(),
+                "trace references " << job << " before submitting it");
+  return it->second;
 }
 
-void TraceExporter::close_attempt(TaskId task, SlotId slot, SimTime at,
-                                  bool killed) {
-  auto it = open_.find(task);
-  SSR_CHECK_MSG(it != open_.end(), "finish/kill for unknown attempt");
+void TraceExporter::close_attempt(const TraceEvent& event, bool killed) {
+  auto it = open_.find(event.task);
+  SSR_CHECK_MSG(it != open_.end(),
+                "trace ends attempt " << event.task << " without a start");
   Attempt& a = events_[it->second];
-  SSR_CHECK_EQ(a.slot, slot);  // attempt must finish on its start slot
-  a.end = at;
+  SSR_CHECK_EQ(a.slot, event.slot);  // attempt must end on its start slot
+  a.end = event.time;
   a.killed = killed;
   open_.erase(it);
 }
 
-void TraceExporter::record_task_finished(SimTime now, TaskId task,
-                                         SlotId slot) {
-  close_attempt(task, slot, now, /*killed=*/false);
-}
-
-void TraceExporter::record_task_killed(SimTime now, TaskId task, SlotId slot) {
-  close_attempt(task, slot, now, /*killed=*/true);
-}
-
-void TraceExporter::record_instant(std::string name, SimTime at) {
-  instants_.push_back({std::move(name), at});
-}
-
-void TraceExporter::on_task_started(const Engine& engine, TaskId task,
-                                    SlotId slot) {
-  const std::string* tenant =
-      tenant_of_ ? tenant_of_(task.stage.job) : nullptr;
-  record_task_started(engine.sim().now(), task, slot,
-                      engine.job_name(task.stage.job),
-                      tenant != nullptr ? *tenant : std::string());
-}
-
-void TraceExporter::on_task_finished(const Engine& engine, TaskId task,
-                                     SlotId slot) {
-  record_task_finished(engine.sim().now(), task, slot);
-}
-
-void TraceExporter::on_task_killed(const Engine& engine, TaskId task,
-                                   SlotId slot) {
-  record_task_killed(engine.sim().now(), task, slot);
-}
-
-void TraceExporter::on_job_submitted(const Engine& engine, JobId job) {
-  record_instant("submit " + engine.job_name(job), engine.sim().now());
-}
-
-void TraceExporter::on_job_finished(const Engine& engine, JobId job) {
-  record_instant("finish " + engine.job_name(job), engine.sim().now());
+void TraceExporter::on_trace_event(const TraceEvent& event) {
+  switch (event.kind) {
+    case TraceEventKind::kJobSubmitted:
+      jobs_[event.job] = {event.job_name, event.tenant};
+      instants_.push_back({"submit " + event.job_name, event.time});
+      break;
+    case TraceEventKind::kJobFinished:
+      instants_.push_back({"finish " + job_of(event.job).first, event.time});
+      break;
+    case TraceEventKind::kTaskStarted: {
+      const auto& [name, tenant] = job_of(event.task.stage.job);
+      Attempt a;
+      a.task = event.task;
+      a.slot = event.slot;
+      a.start = event.time;
+      a.job_name = name;
+      a.track = track_of(tenant);
+      open_[event.task] = events_.size();
+      events_.push_back(std::move(a));
+      break;
+    }
+    case TraceEventKind::kTaskFinished:
+      close_attempt(event, /*killed=*/false);
+      break;
+    case TraceEventKind::kTaskKilled:
+    case TraceEventKind::kTaskFailed:
+      close_attempt(event, /*killed=*/true);
+      break;
+    default:
+      break;
+  }
 }
 
 void TraceExporter::write_json(std::ostream& os) const {

@@ -8,53 +8,32 @@
 // exported in microseconds (1 simulated second = 1 ms of trace time keeps
 // hour-long simulations navigable).
 //
-// Two feeding modes share one record_* core:
-//   * live — the EngineObserver callbacks pull names (and, when a tenant
-//     resolver is installed, tenants) from the engine;
-//   * replay — metrics/trace_capture.h's TraceExportFeeder re-drives the
-//     same record_* calls from a captured event stream, no Engine involved.
+// TraceExporter is a TraceConsumer, so one implementation serves a live run
+// (attach it to a TraceFanOut) and a capture (TraceReplayer::replay).  An
+// attempt that ends in kTaskKilled or kTaskFailed is marked killed.
 // Tenanted attempts land on a per-tenant process track ("pid"), so fig15-
 // scale open-system runs separate cleanly by tenant in the trace viewer;
 // untenanted runs keep everything on the default "cluster" process.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ssr/common/ids.h"
 #include "ssr/common/time.h"
-#include "ssr/sched/types.h"
+#include "ssr/metrics/trace_capture.h"
 
 namespace ssr {
 
-class TraceExporter : public EngineObserver {
+class TraceExporter : public TraceConsumer {
  public:
-  void on_task_started(const Engine& engine, TaskId task, SlotId slot) override;
-  void on_task_finished(const Engine& engine, TaskId task, SlotId slot) override;
-  void on_task_killed(const Engine& engine, TaskId task, SlotId slot) override;
-  void on_job_submitted(const Engine& engine, JobId job) override;
-  void on_job_finished(const Engine& engine, JobId job) override;
-
-  /// Resolve a job to its tenant track in live (observer) mode; nullptr or
-  /// unset = default "cluster" track.
-  void set_tenant_resolver(std::function<const std::string*(JobId)> resolver) {
-    tenant_of_ = std::move(resolver);
-  }
-
-  // --- Engine-free core (replay feeding) -----------------------------------
-
-  /// `tenant` empty = default track.  The attempt stays open until a
-  /// matching record_task_finished/killed.
-  void record_task_started(SimTime now, TaskId task, SlotId slot,
-                           std::string job_name, const std::string& tenant);
-  void record_task_finished(SimTime now, TaskId task, SlotId slot);
-  void record_task_killed(SimTime now, TaskId task, SlotId slot);
-  /// Global instant marker (job submit/finish milestones).
-  void record_instant(std::string name, SimTime at);
+  /// Job submit/finish become instant markers; task start opens an attempt
+  /// that the matching finish, kill or failure closes.
+  void on_trace_event(const TraceEvent& event) override;
 
   /// Write the collected events as a Chrome trace JSON document.
   void write_json(std::ostream& os) const;
@@ -78,10 +57,12 @@ class TraceExporter : public EngineObserver {
     SimTime at;
   };
 
-  void close_attempt(TaskId task, SlotId slot, SimTime at, bool killed);
+  void close_attempt(const TraceEvent& event, bool killed);
   std::uint32_t track_of(const std::string& tenant);
+  /// (name, tenant) captured from the job's kJobSubmitted event.
+  const std::pair<std::string, std::string>& job_of(JobId job) const;
 
-  std::function<const std::string*(JobId)> tenant_of_;
+  std::map<JobId, std::pair<std::string, std::string>> jobs_;
   std::map<TaskId, std::size_t> open_;  ///< running attempt -> index
   std::vector<Attempt> events_;
   std::vector<Instant> instants_;

@@ -199,8 +199,10 @@ class ReservationHook {
 /// Passive observer for metrics collection and auditing.  All callbacks fire
 /// at the simulated instant the event occurs, after the cluster state
 /// transition they describe has been applied (so observers see the
-/// post-event state).  This is the audit seam: metrics/collectors and
-/// audit/InvariantAuditor both attach here, parallel to ReservationHook.
+/// post-event state).  This is the audit seam, parallel to ReservationHook:
+/// metrics/trace_capture.h's TraceStream turns it into the TraceEvent
+/// stream that the RunResult fold, the invariant audit and the Chrome
+/// export consume.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;

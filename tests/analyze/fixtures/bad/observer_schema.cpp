@@ -1,38 +1,46 @@
-// Seeded bugs in a miniature observer/capture tree: EngineObserver declares
-// on_started and on_finished, but the recorder (a) never overrides
-// on_finished and (b) its on_started override records no TraceEventKind;
-// the replay auditor never handles kFinished.
+// Seeded bugs in a miniature observer/stream tree: EngineObserver declares
+// four callbacks, but the stream (a) never overrides on_finished, (b) its
+// on_failed override emits no TraceEventKind, and (c) its on_killed override
+// reuses on_started's kind; the replay auditor never handles kFinished.
 // Expected: ssr-analyze flags [observer-schema] at least three times.
 
 namespace fixture {
 
-enum class TraceEventKind { kStarted = 1, kFinished = 2 };
+enum class TraceEventKind { kStarted = 1, kFinished = 2, kKilled = 3, kFailed = 4 };
 
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
   virtual void on_started(int id) {}
   virtual void on_finished(int id) {}
+  virtual void on_killed(int id) {}
+  virtual void on_failed(int id) {}
 };
 
-class TraceRecorder : public EngineObserver {
+class TraceStream : public EngineObserver {
  public:
-  void on_started(int id) override {
-    last_ = id;  // BAD: no TraceEventKind recorded; event is dropped
+  void on_started(int id) override { emit(TraceEventKind::kStarted, id); }
+  void on_killed(int id) override {
+    emit(TraceEventKind::kStarted, id);  // BAD: indistinguishable from a start
+  }
+  void on_failed(int id) override {
+    last_ = id;  // BAD: no TraceEventKind emitted; the event is dropped
   }
   // BAD: on_finished has no override at all.
 
  private:
+  void emit(TraceEventKind kind, int id);
   int last_ = 0;
 };
 
 class ReplayAuditor {
  public:
   void on_trace_event(TraceEventKind kind) {
-    if (kind == TraceEventKind::kStarted) {
+    if (kind == TraceEventKind::kStarted || kind == TraceEventKind::kKilled ||
+        kind == TraceEventKind::kFailed) {
       seen_++;
     }
-    // BAD: kFinished never handled; replay skips its transition.
+    // BAD: kFinished never handled; the ledger audit skips its transition.
   }
 
  private:

@@ -1,6 +1,5 @@
-// Clean counterpart: every observer callback is overridden by the recorder
-// with a distinct TraceEventKind, mirrored by the live auditor, and every
-// kind is handled by the replay auditor.
+// Clean counterpart: the stream overrides every observer callback, each
+// with its own TraceEventKind, and the replay auditor handles every kind.
 // Expected: ssr-analyze reports nothing.
 
 namespace fixture {
@@ -14,26 +13,17 @@ class EngineObserver {
   virtual void on_finished(int id) {}
 };
 
-class TraceRecorder : public EngineObserver {
+class TraceStream : public EngineObserver {
  public:
   void on_started(int id) override {
-    record(TraceEventKind::kStarted, id);
+    emit(TraceEventKind::kStarted, id);
   }
   void on_finished(int id) override {
-    record(TraceEventKind::kFinished, id);
+    emit(TraceEventKind::kFinished, id);
   }
 
  private:
-  void record(TraceEventKind kind, int id);
-};
-
-class InvariantAuditor : public EngineObserver {
- public:
-  void on_started(int id) override { open_ += id; }
-  void on_finished(int id) override { open_ -= id; }
-
- private:
-  int open_ = 0;
+  void emit(TraceEventKind kind, int id);
 };
 
 class ReplayAuditor {

@@ -31,7 +31,7 @@
 #include "ssr/core/naive_policies.h"
 #include "ssr/core/reservation_manager.h"
 #include "ssr/exp/policy_zoo.h"
-#include "ssr/metrics/collectors.h"
+#include "ssr/exp/trace_replay.h"
 #include "ssr/sched/engine.h"
 #include "ssr/sched/virtual_cluster.h"
 #include "ssr/sim/failure_detector.h"
@@ -155,8 +155,10 @@ TrialOutcome run_chaos_trial(const ChaosParams& p,
   Engine engine(cfg, p.nodes, p.slots_per_node, p.engine_seed);
   engine.set_reservation_hook(make_hook(p.hook));
 
-  RecoveryStatsCollector recovery;
-  engine.add_observer(&recovery);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   audit::InvariantAuditor auditor;  // throw_on_violation = true
   auditor.attach(engine);
 
@@ -176,7 +178,7 @@ TrialOutcome run_chaos_trial(const ChaosParams& p,
     EXPECT_TRUE(engine.job_finished(id)) << "job " << id << " never finished";
   }
   EXPECT_TRUE(auditor.clean()) << auditor.report();
-  return TrialOutcome{recovery.stats(), auditor.events_audited(),
+  return TrialOutcome{fold.recovery(), auditor.events_audited(),
                       detection.suspicions.size(),
                       detection.false_suspicions()};
 }
@@ -352,8 +354,10 @@ OpenTrialOutcome run_open_chaos_trial(const OpenChaosParams& p) {
   Engine engine(cfg, p.nodes, p.slots_per_node, p.engine_seed);
   engine.set_reservation_hook(make_hook(p.hook));
 
-  RecoveryStatsCollector recovery;
-  engine.add_observer(&recovery);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   audit::InvariantAuditor auditor;  // throw_on_violation = true
   auditor.attach(engine);
 
@@ -382,7 +386,7 @@ OpenTrialOutcome run_open_chaos_trial(const OpenChaosParams& p) {
       << audit::format_report(tenant_violations);
 
   OpenTrialOutcome out;
-  out.recovery = recovery.stats();
+  out.recovery = fold.recovery();
   out.events_audited = auditor.events_audited();
   for (const std::string& t : vcm.tenant_names()) {
     const TenantStats& s = vcm.stats(t);
@@ -467,8 +471,10 @@ TrialOutcome run_zoo_chaos_trial(ZooPolicy policy, const ChaosParams& p,
   }
   engine.set_reservation_hook(std::move(hook));
 
-  RecoveryStatsCollector recovery;
-  engine.add_observer(&recovery);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   audit::InvariantAuditor auditor;  // throw_on_violation = true
   auditor.attach(engine);
 
@@ -490,7 +496,7 @@ TrialOutcome run_zoo_chaos_trial(ZooPolicy policy, const ChaosParams& p,
     EXPECT_TRUE(engine.job_finished(id)) << "job " << id << " never finished";
   }
   EXPECT_TRUE(auditor.clean()) << auditor.report();
-  return TrialOutcome{recovery.stats(), auditor.events_audited(),
+  return TrialOutcome{fold.recovery(), auditor.events_audited(),
                       detection.suspicions.size(),
                       detection.false_suspicions()};
 }

@@ -9,7 +9,7 @@
 #include "ssr/audit/invariant_auditor.h"
 #include "ssr/common/check.h"
 #include "ssr/core/reservation_manager.h"
-#include "ssr/metrics/collectors.h"
+#include "ssr/exp/trace_replay.h"
 #include "ssr/sched/engine.h"
 
 namespace ssr {
@@ -282,8 +282,10 @@ TEST(ReservationManager, StragglerMitigationUsesReservedSlots) {
   ReservationManager* mgr = manager.get();
   Engine engine(quick_sched(), 1, 4, 1);
   engine.set_reservation_hook(std::move(manager));
-  TaskStatsCollector stats;
-  engine.add_observer(&stats);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   const JobId fg = engine.submit(JobBuilder("fg")
                                      .priority(10)
                                      .stage(4, uniform_duration(1.0, 2.0))
@@ -292,9 +294,9 @@ TEST(ReservationManager, StragglerMitigationUsesReservedSlots) {
                                      .build());
   engine.run();
   EXPECT_EQ(mgr->copies_launched(), 2u);
-  EXPECT_EQ(stats.stats(fg).copies_started, 2u);
-  EXPECT_EQ(stats.stats(fg).copies_won, 2u);
-  EXPECT_EQ(stats.stats(fg).tasks_killed, 2u);
+  EXPECT_EQ(fold.task_stats(fg).copies_started, 2u);
+  EXPECT_EQ(fold.task_stats(fg).copies_won, 2u);
+  EXPECT_EQ(fold.task_stats(fg).tasks_killed, 2u);
   // Phase 1 ends by t = 1 + 2 = 3 at the latest (vs 60 unmitigated).  The
   // winning copies deposit their outputs on the two reserved slots, so two
   // of phase 2's four tasks run remote (2 * 5 = 10 s): JCT <= 3 + 10 = 13,
@@ -327,8 +329,10 @@ TEST(ReservationManager, CopyLosesWhenOriginalFinishesFirst) {
   auto manager = make_ssr(cfg);
   ReservationManager* mgr = manager.get();
   engine.set_reservation_hook(std::move(manager));
-  TaskStatsCollector stats;
-  engine.add_observer(&stats);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   const JobId fg = engine.submit(JobBuilder("fg")
                                      .priority(10)
                                      .stage(2, uniform_duration(50.0, 51.0))
@@ -337,8 +341,8 @@ TEST(ReservationManager, CopyLosesWhenOriginalFinishesFirst) {
                                      .build());
   engine.run();
   EXPECT_EQ(mgr->copies_launched(), 1u);
-  EXPECT_EQ(stats.stats(fg).copies_won, 0u);
-  EXPECT_EQ(stats.stats(fg).tasks_killed, 1u);  // the copy was killed
+  EXPECT_EQ(fold.task_stats(fg).copies_won, 0u);
+  EXPECT_EQ(fold.task_stats(fg).tasks_killed, 1u);  // the copy was killed
   // Phase 1 still ends at t=3 (original wins): JCT = 4.
   EXPECT_DOUBLE_EQ(engine.jct(fg), 4.0);
 }
@@ -416,8 +420,10 @@ TEST(ReservationManager, DecreasingParallelismReservationDiesWithSlot) {
   Pathology p{SsrConfig{}};
   ReleaseReasonLog releases;
   p.engine.add_observer(&releases);
-  RecoveryStatsCollector recovery;
-  p.engine.add_observer(&recovery);
+  TraceFanOut stream(header_for(p.engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  p.engine.add_observer(&stream);
   audit::InvariantAuditor auditor;
   auditor.attach(p.engine);
   p.engine.sim().schedule_at(6.0, [&] {
@@ -428,8 +434,8 @@ TEST(ReservationManager, DecreasingParallelismReservationDiesWithSlot) {
   EXPECT_TRUE(p.engine.job_finished(p.fg));
   EXPECT_TRUE(p.engine.job_finished(p.bg));
   EXPECT_EQ(releases.count(ReservationEndReason::SlotFailed), 1u);
-  EXPECT_EQ(recovery.stats().reservations_broken, 1u);
-  EXPECT_EQ(recovery.stats().slots_failed, 1u);
+  EXPECT_EQ(fold.recovery().reservations_broken, 1u);
+  EXPECT_EQ(fold.recovery().slots_failed, 1u);
   // A broken reservation is not a deadline expiry.
   EXPECT_EQ(releases.count(ReservationEndReason::Expired), 0u);
   EXPECT_TRUE(auditor.clean()) << auditor.report();
@@ -442,8 +448,10 @@ TEST(ReservationManager, Case1UnknownParallelismReservationDiesWithSlot) {
   engine.set_reservation_hook(make_ssr());
   ReleaseReasonLog releases;
   engine.add_observer(&releases);
-  RecoveryStatsCollector recovery;
-  engine.add_observer(&recovery);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   audit::InvariantAuditor auditor;
   auditor.attach(engine);
   const JobId fg = engine.submit(JobBuilder("fg")
@@ -460,7 +468,7 @@ TEST(ReservationManager, Case1UnknownParallelismReservationDiesWithSlot) {
   engine.run();
   EXPECT_TRUE(engine.job_finished(fg));
   EXPECT_EQ(releases.count(ReservationEndReason::SlotFailed), 1u);
-  EXPECT_EQ(recovery.stats().reservations_broken, 1u);
+  EXPECT_EQ(fold.recovery().reservations_broken, 1u);
   EXPECT_TRUE(auditor.clean()) << auditor.report();
 }
 
@@ -473,8 +481,10 @@ TEST(ReservationManager, PreReservedSlotDiesBeforeTheBarrier) {
   engine.set_reservation_hook(make_ssr(cfg));
   ReleaseReasonLog releases;
   engine.add_observer(&releases);
-  RecoveryStatsCollector recovery;
-  engine.add_observer(&recovery);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   audit::InvariantAuditor auditor;
   auditor.attach(engine);
   const JobId fg = engine.submit(JobBuilder("fg")
@@ -497,7 +507,7 @@ TEST(ReservationManager, PreReservedSlotDiesBeforeTheBarrier) {
   EXPECT_TRUE(engine.job_finished(fg));
   EXPECT_TRUE(engine.job_finished(bg));
   EXPECT_EQ(releases.count(ReservationEndReason::SlotFailed), 1u);
-  EXPECT_EQ(recovery.stats().reservations_broken, 1u);
+  EXPECT_EQ(fold.recovery().reservations_broken, 1u);
   EXPECT_TRUE(auditor.clean()) << auditor.report();
 }
 
@@ -509,8 +519,10 @@ TEST(ReservationManager, FinalPhaseSlotDeathBreaksNoReservation) {
   engine.set_reservation_hook(make_ssr());
   ReleaseReasonLog releases;
   engine.add_observer(&releases);
-  RecoveryStatsCollector recovery;
-  engine.add_observer(&recovery);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   audit::InvariantAuditor auditor;
   auditor.attach(engine);
   const JobId fg = engine.submit(JobBuilder("fg")
@@ -527,9 +539,9 @@ TEST(ReservationManager, FinalPhaseSlotDeathBreaksNoReservation) {
   EXPECT_TRUE(engine.job_finished(fg));
   EXPECT_DOUBLE_EQ(engine.jct(fg), 10.0);
   EXPECT_EQ(releases.count(ReservationEndReason::SlotFailed), 0u);
-  EXPECT_EQ(recovery.stats().reservations_broken, 0u);
-  EXPECT_EQ(recovery.stats().slots_failed, 1u);
-  EXPECT_EQ(recovery.stats().tasks_requeued, 0u);
+  EXPECT_EQ(fold.recovery().reservations_broken, 0u);
+  EXPECT_EQ(fold.recovery().slots_failed, 1u);
+  EXPECT_EQ(fold.recovery().tasks_requeued, 0u);
   EXPECT_TRUE(auditor.clean()) << auditor.report();
 }
 

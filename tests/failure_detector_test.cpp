@@ -10,6 +10,7 @@
 // false-suspicion reconciliation run where the engine kills healthy nodes on
 // suspicion and the late recovery reconciles through the same epoch guards
 // as a true recovery, with every job still completing.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -18,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "event_stream.h"
 #include "ssr/common/check.h"
 #include "ssr/exp/harness.h"
 #include "ssr/exp/scenario.h"
@@ -254,13 +254,14 @@ TEST(FailureDetector, InvalidConfigsAreRejected) {
 
 // --- End-to-end: differential no-op ------------------------------------------
 
-/// Run a scenario through the shared harness with an event-log observer
-/// attached, returning the full serialized callback stream.
-std::vector<std::string> harness_event_log(const ClusterSpec& cluster,
-                                           std::vector<JobSpec> jobs,
-                                           const RunOptions& options) {
+/// Run a scenario through the shared harness with a recorder attached,
+/// returning the full event stream.
+std::vector<TraceEvent> harness_event_log(const ClusterSpec& cluster,
+                                          std::vector<JobSpec> jobs,
+                                          const RunOptions& options) {
   ScenarioHarness harness(cluster, options);
-  EventLogObserver log;
+  TraceRecorder log(cluster.nodes, cluster.total_slots(), options.seed, "log",
+                    /*counts_expired=*/false);
   harness.engine().add_observer(&log);
   std::vector<JobId> ids;
   ids.reserve(jobs.size());
@@ -270,6 +271,20 @@ std::vector<std::string> harness_event_log(const ClusterSpec& cluster,
   harness.engine().run();
   harness.collect(ids);
   return log.events();
+}
+
+/// Assert two event streams are identical (every field, times compared
+/// exactly), reporting the first divergence.
+void expect_same_events(const std::vector<TraceEvent>& a,
+                        const std::vector<TraceEvent>& b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(a[i] == b[i]) << "event streams diverge at event " << i
+                              << " (kinds " << static_cast<int>(a[i].kind)
+                              << " / " << static_cast<int>(b[i].kind) << ")";
+  }
+  EXPECT_EQ(a.size(), b.size())
+      << "event streams have a common prefix but different lengths";
 }
 
 ClusterSpec small_cluster() { return ClusterSpec{.nodes = 6, .slots_per_node = 2}; }
@@ -300,12 +315,12 @@ TEST(FailureDetectorDifferential, PeriodZeroRunIsByteIdenticalToDefault) {
   with_detector_fields.detector.timeout_beats = 7;
   with_detector_fields.detector.seed = 123;
 
-  const std::vector<std::string> a =
+  const std::vector<TraceEvent> a =
       harness_event_log(small_cluster(), small_mix(501), base);
-  const std::vector<std::string> b =
+  const std::vector<TraceEvent> b =
       harness_event_log(small_cluster(), small_mix(501), with_detector_fields);
   ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+  expect_same_events(a, b);
 }
 
 TEST(FailureDetectorDifferential, CleanChannelOnHealthyClusterIsNoOp) {
@@ -319,12 +334,12 @@ TEST(FailureDetectorDifferential, CleanChannelOnHealthyClusterIsNoOp) {
   detected.detector.heartbeat_period = 3.0;
   detected.detector.timeout_beats = 2;
 
-  const std::vector<std::string> a =
+  const std::vector<TraceEvent> a =
       harness_event_log(small_cluster(), small_mix(777), plain);
-  const std::vector<std::string> b =
+  const std::vector<TraceEvent> b =
       harness_event_log(small_cluster(), small_mix(777), detected);
   ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+  expect_same_events(a, b);
 }
 
 // --- End-to-end: suspicion consequences --------------------------------------

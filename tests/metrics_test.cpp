@@ -12,6 +12,7 @@
 #include "ssr/common/check.h"
 #include "ssr/exp/open_scenario.h"
 #include "ssr/exp/scenario.h"
+#include "ssr/exp/trace_replay.h"
 #include "ssr/metrics/collectors.h"
 #include "ssr/metrics/engine_metrics.h"
 #include "ssr/metrics/registry.h"
@@ -75,16 +76,18 @@ TEST(RunningTasksSeries, RejectsNonPositiveInterval) {
 
 TEST(TaskStats, TotalsAggregateAcrossJobs) {
   Engine engine(SchedConfig{}, 2, 2, 1);
-  TaskStatsCollector stats;
-  engine.add_observer(&stats);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   engine.submit(JobBuilder("x").stage(3, fixed_duration(2.0)).build());
   engine.submit(JobBuilder("y").stage(2, fixed_duration(2.0)).build());
   engine.run();
-  const JobTaskStats t = stats.totals();
+  const JobTaskStats t = fold.result().task_totals;
   EXPECT_EQ(t.tasks_started, 5u);
   EXPECT_EQ(t.tasks_finished, 5u);
   EXPECT_EQ(t.copies_started, 0u);
-  EXPECT_EQ(stats.stats(JobId{42}).tasks_started, 0u);  // unknown job
+  EXPECT_EQ(fold.task_stats(JobId{42}).tasks_started, 0u);  // unknown job
 }
 
 // --- Metrics registry --------------------------------------------------------

@@ -29,13 +29,13 @@
 
 #include <gtest/gtest.h>
 
-#include "event_stream.h"
 #include "golden_scenarios.h"
 #include "run_digest.h"
 #include "ssr/common/check.h"
 #include "ssr/common/distributions.h"
 #include "ssr/common/rng.h"
 #include "ssr/exp/harness.h"
+#include "ssr/metrics/trace_capture.h"
 #include "ssr/workload/open_arrival.h"
 
 namespace ssr {
@@ -52,7 +52,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 struct DrivenRun {
   std::string digest;
-  std::vector<std::string> events;
+  std::vector<TraceEvent> events;
 };
 
 /// Closed reference: batch-submit and run, through the same harness wiring
@@ -60,7 +60,8 @@ struct DrivenRun {
 DrivenRun drive_closed(const ClusterSpec& cluster, std::vector<JobSpec> jobs,
                        const RunOptions& options, const std::string& title) {
   ScenarioHarness harness(cluster, options);
-  EventLogObserver log;
+  TraceRecorder log(cluster.nodes, cluster.total_slots(), options.seed, title,
+                    /*counts_expired=*/false);
   harness.engine().add_observer(&log);
   std::vector<JobId> ids;
   ids.reserve(jobs.size());
@@ -80,7 +81,8 @@ DrivenRun drive_open(const ClusterSpec& cluster, std::vector<JobSpec> jobs,
                      Rng& steps) {
   ScenarioHarness harness(cluster, options);
   Engine& engine = harness.engine();
-  EventLogObserver log;
+  TraceRecorder log(cluster.nodes, cluster.total_slots(), options.seed, title,
+                    /*counts_expired=*/false);
   engine.add_observer(&log);
 
   std::vector<JobId> ids;
@@ -152,12 +154,15 @@ DrivenRun drive_open(const ClusterSpec& cluster, std::vector<JobSpec> jobs,
   return {digest.str(), log.events()};
 }
 
-/// Assert two event logs are identical, reporting the first divergence.
+/// Assert two event streams are identical (every field, times compared
+/// exactly), reporting the first divergence.
 void expect_same_events(const DrivenRun& closed, const DrivenRun& open) {
   const std::size_t n = std::min(closed.events.size(), open.events.size());
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(closed.events[i], open.events[i])
-        << "event streams diverge at event " << i;
+    ASSERT_TRUE(closed.events[i] == open.events[i])
+        << "event streams diverge at event " << i << " (kinds "
+        << static_cast<int>(closed.events[i].kind) << " / "
+        << static_cast<int>(open.events[i].kind) << ")";
   }
   EXPECT_EQ(closed.events.size(), open.events.size())
       << "event streams have a common prefix but different lengths";

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "ssr/common/check.h"
-#include "ssr/metrics/collectors.h"
+#include "ssr/exp/trace_replay.h"
 #include "ssr/sched/engine.h"
 
 namespace ssr {
@@ -280,14 +280,16 @@ TEST(Engine, UnorderableStageKeysAreRejected) {
 
 TEST(Engine, TaskStatsCountLocality) {
   Engine engine(quick_sched(), 1, 2, 1);
-  TaskStatsCollector stats;
-  engine.add_observer(&stats);
+  TraceFanOut stream(header_for(engine));
+  ReplayResultBuilder fold;
+  stream.attach(fold);
+  engine.add_observer(&stream);
   const JobId id = engine.submit(JobBuilder("j")
                                      .stage(2, fixed_duration(5.0))
                                      .stage(2, fixed_duration(5.0))
                                      .build());
   engine.run();
-  const JobTaskStats& s = stats.stats(id);
+  const JobTaskStats& s = fold.task_stats(id);
   EXPECT_EQ(s.tasks_started, 4u);
   EXPECT_EQ(s.tasks_finished, 4u);
   EXPECT_EQ(s.tasks_killed, 0u);

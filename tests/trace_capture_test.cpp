@@ -4,8 +4,11 @@
 // a capture of a run's observer stream is *sufficient* to re-drive every
 // consumer-side chain without an Engine — the RunResult/digest pipeline, the
 // SlotLedger invariant audit, the Chrome-trace export — and the
-// reconstruction is bit-identical, not approximately equal.  The suite pins
-// that in four layers:
+// reconstruction is bit-identical, not approximately equal.  The live run
+// feeds the same consumers through a TraceFanOut, and ScenarioHarness checks
+// the live fold against the Engine's own accounting, so a replayed digest
+// equal to the live one is pinned to the engine.  The suite pins that in
+// four layers:
 //
 //  * 100 seeded random round-trips (70 closed trials mixing reservation
 //    policies, node-failure schedules and heartbeat-detector configs; 30
@@ -18,7 +21,8 @@
 //    re-recording must reproduce byte for byte and replaying must re-certify
 //    against its committed digest — the replay-verify CI step leans on this;
 //  * rejection of corrupt, truncated, version-skewed and trailing-garbage
-//    inputs with errors naming the defect.
+//    inputs, and of well-formed streams no run could produce, with errors
+//    naming the defect.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +39,7 @@
 #include "run_digest.h"
 #include "ssr/audit/trace_replay_auditor.h"
 #include "ssr/common/check.h"
+#include "ssr/exp/harness.h"
 #include "ssr/exp/open_scenario.h"
 #include "ssr/exp/scenario.h"
 #include "ssr/exp/trace_replay.h"
@@ -348,8 +353,7 @@ TEST(TraceCapture, ReplayFeedsChromeTraceExportWithTenantTracks) {
                     make_open_arrivals(t.profiles, t.arrival_seed), t.options);
 
   TraceExporter exporter;
-  TraceExportFeeder feeder(exporter);
-  TraceReplayer::from_file(path).replay({&feeder});
+  TraceReplayer::from_file(path).replay({&exporter});
   std::remove(path.c_str());
 
   EXPECT_GT(exporter.event_count(), 0u);
@@ -369,6 +373,45 @@ TEST(TraceCapture, ReplayFeedsChromeTraceExportWithTenantTracks) {
   EXPECT_NE(json.str().find("\"ph\":\"X\""), std::string::npos);
 }
 
+TEST(TraceCapture, LiveAndReplayedChromeExportsOfAFaultedRunAreEqual) {
+  // Two single-slot nodes, one job of two 10 s tasks, node 0 down over
+  // [4, 20): the attempt on slot 0 dies at t=4 and re-runs on slot 1.  The
+  // live export (the stream fanned out to an exporter) and the export
+  // replayed from the capture must be byte-identical — both show the dead
+  // attempt as a killed 4 s slice.
+  const ClusterSpec cluster{.nodes = 2, .slots_per_node = 1};
+  RunOptions options;
+  options.seed = 1;
+  options.failures.events.push_back(
+      FailureEvent{FailureEvent::Scope::Node, 0, 4.0, 20.0});
+  const std::string path = temp_capture_path("faulted_export");
+  options.capture_path = path;
+
+  ScenarioHarness harness(cluster, options);
+  TraceFanOut stream;
+  TraceExporter live;
+  stream.attach(live);
+  harness.engine().add_observer(&stream);
+  const JobId job = harness.engine().submit(
+      JobBuilder("job").stage(2, fixed_duration(10.0)).build());
+  harness.engine().run();
+  EXPECT_EQ(harness.collect({job}).recovery.tasks_failed, 1u);
+
+  TraceExporter replayed;
+  TraceReplayer::from_file(path).replay({&replayed});
+  std::remove(path.c_str());
+
+  std::ostringstream live_json;
+  std::ostringstream replayed_json;
+  live.write_json(live_json);
+  replayed.write_json(replayed_json);
+  EXPECT_EQ(live_json.str(), replayed_json.str());
+  EXPECT_NE(live_json.str().find("\"ts\":0,\"dur\":4000"), std::string::npos)
+      << live_json.str();
+  EXPECT_NE(live_json.str().find("\"killed\":true"), std::string::npos)
+      << live_json.str();
+}
+
 // --- Malformed-input rejection -----------------------------------------------
 
 /// A small but non-trivial capture, recorded once and reused (string copy per
@@ -376,7 +419,11 @@ TEST(TraceCapture, ReplayFeedsChromeTraceExportWithTenantTracks) {
 const std::string& small_capture() {
   static const std::string bytes = [] {
     ClosedTrial t = derive_closed_trial(1);
-    const std::string path = temp_capture_path("reject");
+    // ctest runs each rejection case in its own process, in parallel: name
+    // the file after the recording test so no two processes share it.
+    const std::string path = temp_capture_path(
+        std::string("reject_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name());
     t.options.capture_path = path;
     std::vector<JobSpec> jobs = make_background_jobs(t.bg);
     run_scenario(t.cluster, std::move(jobs), t.options);
@@ -437,6 +484,48 @@ TEST(TraceCaptureRejection, TruncationFailsChecksum) {
 
 TEST(TraceCaptureRejection, TrailingGarbageFailsChecksum) {
   expect_rejected(small_capture() + "junk", "checksum mismatch");
+}
+
+TEST(TraceCaptureRejection, AttemptEndingOnAnotherSlotIsRejected) {
+  // Well-formed bytes, impossible run: the attempt starts on slot 0 and
+  // "finishes" on slot 1.  The RunResult fold must refuse it by name
+  // instead of counting slot 0 busy until the run ends.
+  TraceHeader header;
+  header.num_nodes = 2;
+  header.num_slots = 2;
+  const JobId job{0};
+  const StageId stage{job, 0};
+  const TaskId task{stage, 0, 0};
+  std::vector<TraceEvent> events(7);
+  events[0].kind = TraceEventKind::kJobSubmitted;
+  events[0].job = job;
+  events[0].job_name = "j";
+  events[1].kind = TraceEventKind::kStageSubmitted;
+  events[1].stage = stage;
+  events[2].kind = TraceEventKind::kTaskStarted;
+  events[2].task = task;
+  events[2].slot = SlotId{0};
+  events[3].kind = TraceEventKind::kTaskFinished;
+  events[3].time = 5.0;
+  events[3].task = task;
+  events[3].slot = SlotId{1};
+  events[4].kind = TraceEventKind::kStageFinished;
+  events[4].time = 5.0;
+  events[4].stage = stage;
+  events[5].kind = TraceEventKind::kJobFinished;
+  events[5].time = 5.0;
+  events[5].job = job;
+  events[6].kind = TraceEventKind::kRunComplete;
+  events[6].time = 5.0;
+  const TraceReplayer replayer =
+      TraceReplayer::from_bytes(serialize_trace(header, events));
+  try {
+    replay_run_result(replayer);
+    FAIL() << "an attempt ending on a slot it never ran on was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("job0/s0/t0"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceCaptureRejection, MissingFile) {

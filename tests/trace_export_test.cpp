@@ -1,13 +1,15 @@
-// Tests for the Chrome-tracing exporter: live observer feeding, the
-// engine-free record_* core, per-tenant process tracks, and JSON hygiene
-// (empty runs, escaping, metadata events).
+// Tests for the Chrome-tracing exporter: live feeding through a TraceFanOut,
+// direct TraceEvent feeding (the replay path), per-tenant process tracks,
+// and JSON hygiene (empty runs, escaping, metadata events).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "ssr/core/reservation_manager.h"
+#include "ssr/metrics/trace_capture.h"
 #include "ssr/metrics/trace_export.h"
 #include "ssr/sched/engine.h"
 
@@ -22,8 +24,10 @@ std::string export_json(const TraceExporter& trace) {
 
 TEST(TraceExport, RecordsEveryAttemptAsCompleteEvent) {
   Engine engine(SchedConfig{}, 1, 2, 1);
+  TraceFanOut stream;
   TraceExporter trace;
-  engine.add_observer(&trace);
+  stream.attach(trace);
+  engine.add_observer(&stream);
   engine.submit(JobBuilder("j")
                     .stage(2, fixed_duration(5.0))
                     .stage(2, fixed_duration(5.0))
@@ -49,8 +53,10 @@ TEST(TraceExport, MarksKilledStragglerAttempts) {
   cfg.enable_straggler_mitigation = true;
   Engine engine(SchedConfig{}, 1, 4, 1);
   engine.set_reservation_hook(std::make_unique<ReservationManager>(cfg));
+  TraceFanOut stream;
   TraceExporter trace;
-  engine.add_observer(&trace);
+  stream.attach(trace);
+  engine.add_observer(&stream);
   engine.submit(JobBuilder("fg")
                     .priority(10)
                     .stage(4, uniform_duration(1.0, 2.0))
@@ -66,8 +72,10 @@ TEST(TraceExport, MarksKilledStragglerAttempts) {
 
 TEST(TraceExport, EscapesJobNames) {
   Engine engine(SchedConfig{}, 1, 1, 1);
+  TraceFanOut stream;
   TraceExporter trace;
-  engine.add_observer(&trace);
+  stream.attach(trace);
+  engine.add_observer(&stream);
   engine.submit(JobBuilder("we\"ird\\name")
                     .stage(1, fixed_duration(1.0))
                     .build());
@@ -93,21 +101,45 @@ TEST(TraceExport, EmptyRunWritesValidDocumentWithClusterTrack) {
   EXPECT_EQ(trace.tracks().front(), "cluster");
 }
 
+TraceEvent job_submitted(SimTime at, JobId job, std::string name,
+                         std::string tenant) {
+  TraceEvent e;
+  e.kind = TraceEventKind::kJobSubmitted;
+  e.time = at;
+  e.job = job;
+  e.job_name = std::move(name);
+  e.tenant = std::move(tenant);
+  return e;
+}
+
+TraceEvent task_event(TraceEventKind kind, SimTime at, TaskId task,
+                      SlotId slot) {
+  TraceEvent e;
+  e.kind = kind;
+  e.time = at;
+  e.task = task;
+  e.slot = slot;
+  return e;
+}
+
 TEST(TraceExport, RecordCoreAssignsTenantTracks) {
-  // The engine-free record_* seam (what the capture replay feeder drives):
-  // tenanted attempts land on per-tenant process tracks, untenanted ones on
-  // track 0, and track ids are stable across repeats of the same tenant.
+  // Engine-free feeding (what a capture replay drives): tenanted attempts
+  // land on per-tenant process tracks, untenanted ones on track 0, and
+  // track ids are stable across repeats of the same tenant.
   TraceExporter trace;
   TaskId t0{{JobId{0}, 0}, 0, 0};
   TaskId t1{{JobId{1}, 0}, 0, 0};
   TaskId t2{{JobId{2}, 0}, 0, 0};
-  trace.record_task_started(1.0, t0, SlotId{0}, "a", "alpha");
-  trace.record_task_started(1.0, t1, SlotId{1}, "b", "beta");
-  trace.record_task_started(2.0, t2, SlotId{2}, "c", "");
-  trace.record_task_finished(4.0, t0, SlotId{0});
-  trace.record_task_finished(5.0, t1, SlotId{1});
-  trace.record_task_killed(6.0, t2, SlotId{2});
-  trace.record_instant("submit a", 0.5);
+  trace.on_trace_event(job_submitted(0.5, JobId{0}, "a", "alpha"));
+  trace.on_trace_event(job_submitted(0.5, JobId{1}, "b", "beta"));
+  trace.on_trace_event(job_submitted(0.5, JobId{2}, "c", ""));
+  using Kind = TraceEventKind;
+  trace.on_trace_event(task_event(Kind::kTaskStarted, 1.0, t0, SlotId{0}));
+  trace.on_trace_event(task_event(Kind::kTaskStarted, 1.0, t1, SlotId{1}));
+  trace.on_trace_event(task_event(Kind::kTaskStarted, 2.0, t2, SlotId{2}));
+  trace.on_trace_event(task_event(Kind::kTaskFinished, 4.0, t0, SlotId{0}));
+  trace.on_trace_event(task_event(Kind::kTaskFinished, 5.0, t1, SlotId{1}));
+  trace.on_trace_event(task_event(Kind::kTaskFailed, 6.0, t2, SlotId{2}));
 
   ASSERT_EQ(trace.tracks().size(), 3u);
   EXPECT_EQ(trace.tracks()[0], "cluster");
@@ -130,11 +162,13 @@ TEST(TraceExport, RecordCoreAssignsTenantTracks) {
 
 TEST(TraceExport, LiveObserverUsesTenantResolver) {
   Engine engine(SchedConfig{}, 1, 2, 1);
+  TraceFanOut stream;
   TraceExporter trace;
   const std::string tenant = "svc";
-  trace.set_tenant_resolver(
+  stream.set_tenant_resolver(
       [&tenant](JobId job) { return job.v == 0 ? &tenant : nullptr; });
-  engine.add_observer(&trace);
+  stream.attach(trace);
+  engine.add_observer(&stream);
   engine.submit(JobBuilder("metered").stage(1, fixed_duration(2.0)).build());
   engine.submit(JobBuilder("plain").stage(1, fixed_duration(2.0)).build());
   engine.run();

@@ -31,10 +31,10 @@ Rules (see DESIGN.md §12 for the hazard-class -> runtime-suite mapping):
                       for the sweep thread pool.
   observer-schema     AST-accurate replacement for the retired regex
                       trace-schema lint: every virtual on_* of EngineObserver
-                      must be overridden+serialized by TraceRecorder (with a
-                      distinct TraceEventKind) and mirrored by the
-                      SlotLedger-reachable audit paths (InvariantAuditor
-                      override; ReplayAuditor handling of the kind).
+                      must be overridden by TraceStream (the one callback ->
+                      TraceEvent conversion), each with its own
+                      TraceEventKind, and ReplayAuditor (the one event ->
+                      SlotLedger mapping) must handle every kind.
   sim-time-arith      float where simulated time flows (SimTime is double;
                       float truncates event timestamps), integer variables
                       assigned from time-typed expressions without an
@@ -94,8 +94,8 @@ RULES = {
         "fields guarded by a mutex must be guarded at every access "
         "(ctors/dtors exempt)",
     "observer-schema":
-        "every EngineObserver callback must be serialized by TraceRecorder "
-        "and mirrored by the SlotLedger audit paths",
+        "every EngineObserver callback must become its own TraceEventKind in "
+        "TraceStream, and ReplayAuditor must handle every kind",
     "sim-time-arith":
         "no float / implicit narrowing / int-division where simulated time "
         "flows",
@@ -1322,82 +1322,88 @@ def rule_observer_schema(program: Program):
         return findings
     obs = program.classes["EngineObserver"]
 
-    recorder = program.classes.get("TraceRecorder")
-    auditor = program.classes.get("InvariantAuditor")
+    stream = program.classes.get("TraceStream")
     replay_auditor = program.classes.get("ReplayAuditor")
     kinds = program.enums.get("TraceEventKind", [])
 
-    if recorder is None:
+    if stream is None:
         findings.append(Finding(
             obs.path, obs.line, "observer-schema",
-            "EngineObserver is analyzed but no TraceRecorder class is in "
-            "the analysis set; the capture schema cannot be checked"))
+            "EngineObserver is analyzed but no TraceStream class is in the "
+            "analysis set; the event schema cannot be checked"))
         return findings
 
-    recorder_methods = {m.name: m for fns in program.methods_by_key.values()
-                        for m in fns if m.cls == "TraceRecorder"}
-    auditor_overrides = {m.name for fns in program.methods_by_key.values()
-                         for m in fns if m.cls == "InvariantAuditor"}
+    stream_methods = {m.name: m for fns in program.methods_by_key.values()
+                      for m in fns if m.cls == "TraceStream"}
+
+    def kinds_in(m: Method, whole_file: bool):
+        """TraceEventKind enumerators named in m's definition (or its whole
+        defining file)."""
+        used = set()
+        for f in program.files:
+            if f.rel != m.path:
+                continue
+            if whole_file:
+                text = "\n".join(f.lines)
+            else:
+                span = _method_line_span(f, m)
+                text = "\n".join(f.lines[span[0] - 1:span[1]])
+            for k in kinds:
+                if re.search(r"TraceEventKind\s*::\s*" + k, text):
+                    used.add(k)
+        return used
+
+    def stream_kinds(mname: str):
+        used = set()
+        for fns in program.methods_by_key.values():
+            for m in fns:
+                if m.cls == "TraceStream" and m.name == mname and m.has_body:
+                    used |= kinds_in(m, whole_file=False)
+        return used
+
+    emitted_by = {}  # kind -> first callback whose override emits it
+    for cb in callbacks:
+        if cb.name not in stream_methods:
+            findings.append(Finding(
+                obs.path, cb.line, "observer-schema",
+                f"EngineObserver::{cb.name} has no TraceStream override; every "
+                "stream consumer (RunResult fold, audit, export, capture) "
+                "silently misses the event — extend TraceEventKind/TraceStream "
+                "and bump kTraceVersion"))
+            continue
+        if not kinds:
+            continue
+        used = stream_kinds(cb.name)
+        sm = stream_methods[cb.name]
+        if not used:
+            findings.append(Finding(
+                sm.path, sm.line, "observer-schema",
+                f"TraceStream::{cb.name} never emits a TraceEventKind; the "
+                "override exists but the event is dropped"))
+        for k in sorted(used):
+            if k in emitted_by:
+                findings.append(Finding(
+                    sm.path, sm.line, "observer-schema",
+                    f"TraceStream::{cb.name} emits TraceEventKind::{k}, which "
+                    f"TraceStream::{emitted_by[k]} already emits; consumers "
+                    "cannot tell the two callbacks apart"))
+            else:
+                emitted_by[k] = cb.name
 
     # TraceEventKind enumerators referenced by ReplayAuditor bodies.
     replay_kinds = set()
     if replay_auditor is not None:
         for fns in program.methods_by_key.values():
             for m in fns:
-                if m.cls != "ReplayAuditor" or not m.has_body:
-                    continue
-                for f in program.files:
-                    if f.rel != m.path:
-                        continue
-                    text = "\n".join(f.lines)
-                    for k in kinds:
-                        if re.search(r"TraceEventKind\s*::\s*" + k, text):
-                            replay_kinds.add(k)
-
-    # Which TraceEventKind each TraceRecorder override serializes: scan the
-    # defining file's lines between method start and next method.
-    def kinds_used_by(mname: str):
-        used = set()
-        for fns in program.methods_by_key.values():
-            for m in fns:
-                if m.cls == "TraceRecorder" and m.name == mname and m.has_body:
-                    for f in program.files:
-                        if f.rel != m.path:
-                            continue
-                        span = _method_line_span(f, m)
-                        body = "\n".join(f.lines[span[0] - 1:span[1]])
-                        for k in kinds:
-                            if re.search(r"TraceEventKind\s*::\s*" + k, body):
-                                used.add(k)
-        return used
-
-    for cb in callbacks:
-        if cb.name not in recorder_methods:
-            findings.append(Finding(
-                obs.path, cb.line, "observer-schema",
-                f"EngineObserver::{cb.name} has no TraceRecorder override; "
-                "the capture schema silently drops the event kind — extend "
-                "TraceEventKind/TraceRecorder and bump kTraceVersion"))
-            continue
-        if kinds and not kinds_used_by(cb.name):
-            rm = recorder_methods[cb.name]
-            findings.append(Finding(
-                rm.path, rm.line, "observer-schema",
-                f"TraceRecorder::{cb.name} never records a TraceEventKind; "
-                "the override exists but serializes nothing"))
-        if auditor is not None and cb.name not in auditor_overrides:
-            findings.append(Finding(
-                obs.path, cb.line, "observer-schema",
-                f"EngineObserver::{cb.name} is not mirrored by "
-                "InvariantAuditor (the live SlotLedger audit path)"))
-    if replay_auditor is not None and kinds:
+                if m.cls == "ReplayAuditor" and m.has_body:
+                    replay_kinds |= kinds_in(m, whole_file=True)
         for k in kinds:
             if k not in replay_kinds:
                 findings.append(Finding(
                     replay_auditor.path, replay_auditor.line,
                     "observer-schema",
                     f"TraceEventKind::{k} is never handled by ReplayAuditor; "
-                    "replayed captures skip its ledger transition"))
+                    "the ledger audit skips its transition"))
     return findings
 
 
