@@ -35,7 +35,7 @@ constexpr int kRecurrences = 12;
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   const ClusterSpec cluster{.nodes = 25, .slots_per_node = 2};  // 50 slots
 
   std::cout << "Ablation: configured vs learned tail index (true alpha = "

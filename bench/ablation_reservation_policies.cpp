@@ -24,7 +24,7 @@
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
 
   const ClusterSpec cluster{.nodes = 50, .slots_per_node = 2};
   RunOptions base;

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   const ClusterSpec cluster{.nodes = args.scaled(500), .slots_per_node = 4};
   const SimDuration window = 3600.0 / args.scale;
 

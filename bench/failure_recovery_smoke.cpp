@@ -25,7 +25,7 @@
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   if (!args.scale_set) args.scale = 4.0;
 
   const ClusterSpec cluster{.nodes = args.scaled(400), .slots_per_node = 2};

@@ -55,7 +55,7 @@ void run_and_plot(bool with_background, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   std::cout << "Fig. 5: KMeans running-task count over time "
                "(parallelism 20, 50 nodes, no SSR)\n\n";
   run_and_plot(/*with_background=*/false, args.seed);

@@ -79,7 +79,7 @@ LocalityMeasurement measure(const std::string& app, double factor,
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   std::cout << "Fig. 6: measured duration ratio of remote vs local task "
                "attempts (contended run, no SSR)\n\n";
   TablePrinter table({"app", "factor", "remote task share",

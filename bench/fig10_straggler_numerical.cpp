@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   const std::size_t runs = 1000;
 
   std::cout << "Fig. 10: phase completion-time reduction from straggler "

@@ -58,7 +58,7 @@ void run_case(bool with_ssr, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   std::cout << "Fig. 13: fair scheduler, 3-phase workflow vs map-only job "
                "(16 slots)\n\n";
   run_case(false, args.seed);

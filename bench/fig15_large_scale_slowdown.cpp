@@ -73,7 +73,7 @@ std::vector<Suite> make_foreground(std::uint32_t parallelism,
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   // Default to 1/4 scale so the whole bench suite stays CI-friendly; pass
   // --scale 1 for the paper-scale 1000-node / 8000-job run.
   if (!args.scale_set) args.scale = 4.0;

@@ -22,7 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   if (!args.scale_set) args.scale = 8.0;
 
   const ClusterSpec cluster{.nodes = args.scaled(1000), .slots_per_node = 4};

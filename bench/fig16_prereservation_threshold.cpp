@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   // 4 policies x 3 seeds x 20 queries = 240 simulations; default to 1/4
   // scale for a CI-friendly runtime (pass --scale 1 for the full setup).
   if (!args.scale_set) args.scale = 4.0;

@@ -22,7 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   const ClusterSpec cluster{.nodes = 60, .slots_per_node = 4};
 
   std::cout << "Fig. 17: average foreground JCT reduction from straggler "

@@ -37,7 +37,7 @@
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
   if (!args.scale_set) args.scale = 8.0;
 
   const ClusterSpec cluster{.nodes = 50, .slots_per_node = 2, .node_slots = {}};

@@ -27,7 +27,7 @@ struct Pass {
 
 int main(int argc, char** argv) {
   using namespace ssr;
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args = BenchArgs::parse_or_exit(argc, argv);
 
   const ClusterSpec cluster{.nodes = args.scaled(10000), .slots_per_node = 4};
   const std::uint32_t bg_jobs = args.scaled(12000);

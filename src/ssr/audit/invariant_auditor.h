@@ -48,15 +48,6 @@ struct AuditOptions {
   /// false the auditor only collects, which seeded-bug tests use to assert
   /// on exact invariant ids.
   bool throw_on_violation = true;
-
-  /// Absolute slack (slot-seconds) for the end-of-run accounting comparison;
-  /// scaled up with the magnitude of the compared totals to absorb float
-  /// accumulation error on long runs.
-  double accounting_tolerance = 1e-6;
-
-  /// Run the O(num_slots) cluster cross-check every Nth event (1 = every
-  /// event).  Lifecycle/priority/barrier checks always run on every event.
-  std::uint64_t cross_check_period = 1;
 };
 
 class InvariantAuditor : public TraceStream {

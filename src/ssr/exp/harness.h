@@ -11,7 +11,9 @@
 // and break digest equality.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ssr/exp/scenario.h"
@@ -50,12 +52,11 @@ class ScenarioHarness {
   Engine& engine() { return engine_; }
   const Engine& engine() const { return engine_; }
 
-  /// Attached trace recorder, or nullptr (no capture requested).  Open
-  /// runners install the tenant resolver through this.
-  TraceRecorder* recorder() { return recorder_.get(); }
-
-  /// Attached metrics observer, or nullptr (no registry provided).
-  EngineMetrics* engine_metrics() { return metrics_.get(); }
+  /// Install `resolver` (an admitted job's tenant; nullptr = unmetered) on
+  /// every stream the harness attached, so the fold, recorder, metrics and
+  /// auditor see one tenancy.  Call before the engine starts stepping.
+  void set_tenant_resolver(
+      const std::function<const std::string*(JobId)>& resolver);
 
   /// The detector's verdict on options.failures (pass-through when off).
   const DetectionOutcome& detection() const { return detection_; }

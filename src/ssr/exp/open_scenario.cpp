@@ -7,7 +7,6 @@
 #include "ssr/common/check.h"
 #include "ssr/exp/harness.h"
 #include "ssr/metrics/engine_metrics.h"
-#include "ssr/metrics/trace_capture.h"
 
 namespace ssr {
 
@@ -23,13 +22,7 @@ RunResult run_open_scenario(const ClusterSpec& cluster,
   }
   // Tenancy is registered at admission, before the arrival event fires, so
   // tenant_of resolves by the time on_job_submitted reaches any observer.
-  const auto tenant_resolver = [&vcm](JobId job) { return vcm.tenant_of(job); };
-  if (TraceRecorder* recorder = harness.recorder()) {
-    recorder->set_tenant_resolver(tenant_resolver);
-  }
-  if (EngineMetrics* metrics = harness.engine_metrics()) {
-    metrics->set_tenant_resolver(tenant_resolver);
-  }
+  harness.set_tenant_resolver([&vcm](JobId job) { return vcm.tenant_of(job); });
 
   SimTime last = 0.0;
   for (OpenArrival& arrival : arrivals) {

@@ -1,7 +1,9 @@
 #include "ssr/exp/scenario.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <memory>
 #include <string>
 
@@ -113,8 +115,6 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
       args.json = value_of(i);
     } else if (std::strcmp(argv[i], "--bench-json") == 0) {
       args.bench_json = value_of(i);
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
-      args.metrics_json = value_of(i);
     } else if (std::strcmp(argv[i], "--policy") == 0) {
       args.policy = value_of(i);
       SSR_CHECK_MSG(parse_zoo_policy(args.policy).has_value(),
@@ -125,11 +125,20 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
       SSR_CHECK_MSG(false, "unknown argument '"
                                << argv[i]
                                << "' (expected --scale, --seed, --jobs, "
-                                  "--csv, --json, --bench-json, "
-                                  "--metrics-json, or --policy)");
+                                  "--csv, --json, --bench-json, or "
+                                  "--policy)");
     }
   }
   return args;
+}
+
+BenchArgs BenchArgs::parse_or_exit(int argc, char** argv) {
+  try {
+    return parse(argc, argv);
+  } catch (const CheckError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 std::uint32_t BenchArgs::scaled(std::uint32_t value) const {

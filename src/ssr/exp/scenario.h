@@ -150,10 +150,10 @@ inline double slowdown(double measured_jct, double alone) {
 }
 
 /// Parse "--scale N", "--seed S", "--jobs N", "--csv F", "--json F",
-/// "--bench-json F", "--metrics-json F", "--policy P" overrides from a
-/// bench's argv.  scale divides workload sizes so CI machines can run the
-/// large-scale simulations faster; 1 reproduces the paper-scale setup.  jobs
-/// sets the sweep worker-pool size (0 = one worker per hardware core).
+/// "--bench-json F", "--policy P" overrides from a bench's argv.  scale
+/// divides workload sizes so CI machines can run the large-scale simulations
+/// faster; 1 reproduces the paper-scale setup.  jobs sets the sweep
+/// worker-pool size (0 = one worker per hardware core).
 /// Malformed or out-of-range values and unknown flags throw CheckError with a
 /// message naming the offending argument.
 struct BenchArgs {
@@ -166,15 +166,15 @@ struct BenchArgs {
   /// When set, perf benches write the BENCH_sched.json perf report here
   /// (see exp/bench_report.h for the schema).
   std::string bench_json;
-  /// When set, benches that keep a MetricsRegistry export it here as
-  /// ssr-metrics-v1 JSON (metrics/registry.h) next to their other outputs.
-  std::string metrics_json;
   /// Scheduling-policy selection ("--policy NAME").  Empty = the bench's
   /// own default.  Benches that honour it resolve the name through
   /// exp/policy_zoo.h (parse_zoo_policy validates at parse time).
   std::string policy;
 
   static BenchArgs parse(int argc, char** argv);
+  /// parse(), for a bench's main: a rejected argument prints the CheckError
+  /// message to stderr and exits with status 2.
+  static BenchArgs parse_or_exit(int argc, char** argv);
   /// value / scale, at least 1 (for counts).
   std::uint32_t scaled(std::uint32_t value) const;
 };

@@ -1,39 +1,29 @@
 #include "ssr/metrics/collectors.h"
 
-#include <algorithm>
-
 #include "ssr/common/check.h"
-#include "ssr/sched/engine.h"
 
 namespace ssr {
 
 // --- RunningTasksSeries -------------------------------------------------------
 
-void RunningTasksSeries::record(const Engine& engine, JobId job, int delta) {
-  int& cur = current_[job];
-  cur += delta;
-  SSR_CHECK_MSG(cur >= 0, "running task count went negative");
-  changes_[job].emplace_back(engine.sim().now(), cur);
-}
-
-void RunningTasksSeries::on_task_started(const Engine& engine, TaskId task,
-                                         SlotId) {
-  record(engine, task.stage.job, +1);
-}
-
-void RunningTasksSeries::on_task_finished(const Engine& engine, TaskId task,
-                                          SlotId) {
-  record(engine, task.stage.job, -1);
-}
-
-void RunningTasksSeries::on_task_killed(const Engine& engine, TaskId task,
-                                        SlotId) {
-  record(engine, task.stage.job, -1);
-}
-
-void RunningTasksSeries::on_task_failed(const Engine& engine, TaskId task,
-                                        SlotId) {
-  record(engine, task.stage.job, -1);
+void RunningTasksSeries::emit(const Engine&, const TraceEvent& e) {
+  int delta = 0;
+  switch (e.kind) {
+    case TraceEventKind::kTaskStarted:
+      delta = +1;
+      break;
+    case TraceEventKind::kTaskFinished:
+    case TraceEventKind::kTaskKilled:
+    case TraceEventKind::kTaskFailed:
+      delta = -1;
+      break;
+    default:
+      return;
+  }
+  auto& log = changes_[e.task.stage.job];
+  const int running = (log.empty() ? 0 : log.back().second) + delta;
+  SSR_CHECK_MSG(running >= 0, "running task count went negative");
+  log.emplace_back(e.time, running);
 }
 
 const std::vector<std::pair<SimTime, int>>& RunningTasksSeries::changes(
@@ -55,50 +45,6 @@ std::vector<std::pair<SimTime, int>> RunningTasksSeries::sampled(
     out.emplace_back(t, value);
   }
   return out;
-}
-
-// --- JctCollector ---------------------------------------------------------------
-
-void JctCollector::on_job_finished(const Engine& engine, JobId job) {
-  JobCompletion rec;
-  rec.job = job;
-  rec.name = engine.job_name(job);
-  rec.priority = engine.graph(job).priority();
-  rec.submit = engine.graph(job).submit_time();
-  rec.finish = engine.sim().now();
-  records_.push_back(std::move(rec));
-}
-
-std::vector<double> JctCollector::jcts_named(const std::string& name) const {
-  std::vector<double> out;
-  for (const auto& r : records_) {
-    if (r.name == name) out.push_back(r.jct());
-  }
-  return out;
-}
-
-double JctCollector::mean_jct_with_priority_at_least(int priority) const {
-  double acc = 0.0;
-  std::size_t n = 0;
-  for (const auto& r : records_) {
-    if (r.priority >= priority) {
-      acc += r.jct();
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : acc / static_cast<double>(n);
-}
-
-double JctCollector::mean_jct_with_priority_below(int priority) const {
-  double acc = 0.0;
-  std::size_t n = 0;
-  for (const auto& r : records_) {
-    if (r.priority < priority) {
-      acc += r.jct();
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : acc / static_cast<double>(n);
 }
 
 }  // namespace ssr

@@ -1,30 +1,24 @@
-// Metrics collectors: EngineObservers that record what the paper's
-// evaluation plots — running-task counts over time (Figs. 5, 13) and job
-// completion times — plus the per-job task and recovery counter records
-// that exp/trace_replay.h's ReplayResultBuilder folds from the event stream.
+// Metrics collectors: the running-task series the paper's timelines plot
+// (Figs. 5, 13), plus the per-job task and recovery counter records that
+// exp/trace_replay.h's ReplayResultBuilder folds from the event stream.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "ssr/common/ids.h"
 #include "ssr/common/time.h"
-#include "ssr/sched/types.h"
+#include "ssr/metrics/trace_capture.h"
 
 namespace ssr {
 
 /// Records, for every job, the number of running tasks as a step function of
 /// time.  Attach only in small-scale timeline experiments; the change log is
 /// proportional to the number of task events.
-class RunningTasksSeries : public EngineObserver {
+class RunningTasksSeries : public TraceStream {
  public:
-  void on_task_started(const Engine&, TaskId, SlotId) override;
-  void on_task_finished(const Engine&, TaskId, SlotId) override;
-  void on_task_killed(const Engine&, TaskId, SlotId) override;
-  void on_task_failed(const Engine&, TaskId, SlotId) override;
-
   /// Step-change log for one job: (time, running count after the change).
   const std::vector<std::pair<SimTime, int>>& changes(JobId job) const;
 
@@ -32,10 +26,12 @@ class RunningTasksSeries : public EngineObserver {
   std::vector<std::pair<SimTime, int>> sampled(JobId job, SimDuration dt,
                                                SimTime horizon) const;
 
- private:
-  void record(const Engine& engine, JobId job, int delta);
+ protected:
+  /// A start adds one running task to its job; a finish, kill or failure
+  /// removes one.
+  void emit(const Engine& engine, const TraceEvent& event) override;
 
-  std::map<JobId, int> current_;
+ private:
   std::map<JobId, std::vector<std::pair<SimTime, int>>> changes_;
 };
 
@@ -52,16 +48,6 @@ struct JobTaskStats {
   double busy_seconds = 0.0;
 };
 
-/// Job completion records, in finish order.
-struct JobCompletion {
-  JobId job;
-  std::string name;
-  int priority = 0;
-  SimTime submit = 0.0;
-  SimTime finish = 0.0;
-  SimDuration jct() const { return finish - submit; }
-};
-
 /// Fault-injection and recovery counters (DESIGN.md §9;
 /// ReplayResultBuilder::recovery).
 struct RecoveryStats {
@@ -72,23 +58,6 @@ struct RecoveryStats {
   std::uint64_t failures_masked = 0;   ///< failed attempts whose twin won
   std::uint64_t stages_invalidated = 0;  ///< finished stages re-opened
   std::uint64_t reservations_broken = 0;  ///< reservations ended by slot death
-};
-
-class JctCollector : public EngineObserver {
- public:
-  void on_job_finished(const Engine& engine, JobId job) override;
-
-  const std::vector<JobCompletion>& completions() const { return records_; }
-
-  /// JCTs of every job whose name matches `name` exactly.
-  std::vector<double> jcts_named(const std::string& name) const;
-
-  /// Mean JCT over jobs whose priority is >= / < the given split point.
-  double mean_jct_with_priority_at_least(int priority) const;
-  double mean_jct_with_priority_below(int priority) const;
-
- private:
-  std::vector<JobCompletion> records_;
 };
 
 }  // namespace ssr

@@ -11,167 +11,137 @@ std::vector<double> default_duration_bounds() {
   return {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0};
 }
 
-namespace {
-
-/// Eagerly create the full per-group series set so exports from empty runs
-/// carry every series at zero instead of omitting them.
-void touch_series(MetricGroup& g) {
-  g.counter("jobs_submitted");
-  g.counter("jobs_finished");
-  g.counter("tasks_started");
-  g.counter("tasks_finished");
-  g.counter("tasks_killed");
-  g.counter("tasks_failed");
-  g.counter("tasks_requeued");
-  g.histogram("task_duration_seconds", default_duration_bounds());
-  g.histogram("jct_seconds", default_duration_bounds());
-}
-
-}  // namespace
+EngineMetrics::JobSeries::JobSeries(MetricGroup group)
+    : jobs_submitted(group.counter("jobs_submitted")),
+      jobs_finished(group.counter("jobs_finished")),
+      tasks_started(group.counter("tasks_started")),
+      tasks_finished(group.counter("tasks_finished")),
+      tasks_killed(group.counter("tasks_killed")),
+      tasks_failed(group.counter("tasks_failed")),
+      tasks_requeued(group.counter("tasks_requeued")),
+      task_duration_seconds(group.histogram("task_duration_seconds",
+                                            default_duration_bounds())),
+      jct_seconds(group.histogram("jct_seconds", default_duration_bounds())) {}
 
 EngineMetrics::EngineMetrics(MetricsRegistry& registry, std::string policy)
     : registry_(registry),
       policy_(std::move(policy)),
-      policy_group_(registry_.group({{"policy", policy_}})) {
-  touch_series(policy_group_);
-  policy_group_.counter("stages_submitted");
-  policy_group_.counter("stages_finished");
-  policy_group_.counter("stages_invalidated");
-  policy_group_.counter("slots_failed");
-  policy_group_.counter("slots_recovered");
-  policy_group_.counter("reservations_made");
-  policy_group_.counter("reservations_expired");
-  policy_group_.counter("reservations_released");
-  policy_group_.counter("reservations_broken");
-  policy_group_.gauge("makespan_seconds");
-  policy_group_.gauge("utilization");
+      group_(registry_.group({{"policy", policy_}})),
+      all_(group_),
+      stages_submitted_(group_.counter("stages_submitted")),
+      stages_finished_(group_.counter("stages_finished")),
+      stages_invalidated_(group_.counter("stages_invalidated")),
+      slots_failed_(group_.counter("slots_failed")),
+      slots_recovered_(group_.counter("slots_recovered")),
+      reservations_made_(group_.counter("reservations_made")),
+      reservations_expired_(group_.counter("reservations_expired")),
+      reservations_released_(group_.counter("reservations_released")),
+      reservations_broken_(group_.counter("reservations_broken")),
+      makespan_seconds_(group_.gauge("makespan_seconds")),
+      utilization_(group_.gauge("utilization")) {}
+
+const EngineMetrics::JobRecord& EngineMetrics::record_of(JobId job) const {
+  static const JobRecord kUnseen;
+  return job.v < jobs_.size() ? jobs_[job.v] : kUnseen;
 }
 
-MetricGroup* EngineMetrics::tenant_group(JobId job) {
-  if (!tenant_of_) return nullptr;
-  const std::string* tenant = tenant_of_(job);
-  if (tenant == nullptr) return nullptr;
-  auto it = tenant_groups_.find(*tenant);
-  if (it == tenant_groups_.end()) {
-    MetricGroup g =
-        registry_.group({{"policy", policy_}, {"tenant", *tenant}});
-    touch_series(g);
-    it = tenant_groups_.emplace(*tenant, std::move(g)).first;
-  }
-  return &it->second;
+template <typename Update>
+void EngineMetrics::count(JobId job, Update update) {
+  update(all_);
+  if (JobSeries* tenant = record_of(job).tenant) update(*tenant);
 }
 
-void EngineMetrics::on_job_submitted(const Engine&, JobId job) {
-  policy_group_.counter("jobs_submitted").inc();
-  if (MetricGroup* g = tenant_group(job)) g->counter("jobs_submitted").inc();
+SimTime EngineMetrics::end_attempt(SlotId slot) {
+  if (slot.v >= started_at_.size()) return kTimeInfinity;
+  return std::exchange(started_at_[slot.v], kTimeInfinity);
 }
 
-void EngineMetrics::on_job_finished(const Engine& engine, JobId job) {
-  policy_group_.counter("jobs_finished").inc();
-  const double jct = engine.sim().now() - engine.graph(job).submit_time();
-  policy_group_.histogram("jct_seconds", default_duration_bounds())
-      .observe(jct);
-  if (MetricGroup* g = tenant_group(job)) {
-    g->counter("jobs_finished").inc();
-    g->histogram("jct_seconds", default_duration_bounds()).observe(jct);
-  }
-}
-
-void EngineMetrics::on_stage_submitted(const Engine&, StageId) {
-  policy_group_.counter("stages_submitted").inc();
-}
-
-void EngineMetrics::on_stage_finished(const Engine&, StageId) {
-  policy_group_.counter("stages_finished").inc();
-}
-
-void EngineMetrics::on_task_started(const Engine& engine, TaskId task,
-                                    SlotId) {
-  policy_group_.counter("tasks_started").inc();
-  started_at_[task] = engine.sim().now();
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_started").inc();
-  }
-}
-
-void EngineMetrics::on_task_finished(const Engine& engine, TaskId task,
-                                     SlotId) {
-  policy_group_.counter("tasks_finished").inc();
-  auto it = started_at_.find(task);
-  if (it != started_at_.end()) {
-    const double duration = engine.sim().now() - it->second;
-    policy_group_.histogram("task_duration_seconds", default_duration_bounds())
-        .observe(duration);
-    if (MetricGroup* g = tenant_group(task.stage.job)) {
-      g->histogram("task_duration_seconds", default_duration_bounds())
-          .observe(duration);
+void EngineMetrics::emit(const Engine& engine, const TraceEvent& e) {
+  switch (e.kind) {
+    case TraceEventKind::kJobSubmitted: {
+      if (e.job.v >= jobs_.size()) jobs_.resize(std::size_t{e.job.v} + 1);
+      JobRecord& record = jobs_[e.job.v];
+      record.submitted = e.time;
+      if (!e.tenant.empty()) {
+        const MetricGroup group =
+            registry_.group({{"policy", policy_}, {"tenant", e.tenant}});
+        record.tenant = &tenants_.try_emplace(e.tenant, group).first->second;
+      }
+      count(e.job, [](JobSeries& s) { s.jobs_submitted.inc(); });
+      break;
     }
-    started_at_.erase(it);
-  }
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_finished").inc();
-  }
-}
-
-void EngineMetrics::on_task_killed(const Engine&, TaskId task, SlotId) {
-  policy_group_.counter("tasks_killed").inc();
-  started_at_.erase(task);
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_killed").inc();
-  }
-}
-
-void EngineMetrics::on_task_failed(const Engine&, TaskId task, SlotId) {
-  policy_group_.counter("tasks_failed").inc();
-  started_at_.erase(task);
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_failed").inc();
-  }
-}
-
-void EngineMetrics::on_task_requeued(const Engine&, TaskId task) {
-  policy_group_.counter("tasks_requeued").inc();
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_requeued").inc();
-  }
-}
-
-void EngineMetrics::on_stage_invalidated(const Engine&, StageId) {
-  policy_group_.counter("stages_invalidated").inc();
-}
-
-void EngineMetrics::on_slot_failed(const Engine&, SlotId) {
-  policy_group_.counter("slots_failed").inc();
-}
-
-void EngineMetrics::on_slot_recovered(const Engine&, SlotId) {
-  policy_group_.counter("slots_recovered").inc();
-}
-
-void EngineMetrics::on_slot_reserved(const Engine&, SlotId,
-                                     const Reservation&) {
-  policy_group_.counter("reservations_made").inc();
-}
-
-void EngineMetrics::on_reservation_released(const Engine&, SlotId,
-                                            ReservationEndReason reason) {
-  switch (reason) {
-    case ReservationEndReason::Expired:
-      policy_group_.counter("reservations_expired").inc();
+    case TraceEventKind::kJobFinished: {
+      const double jct = e.time - record_of(e.job).submitted;
+      count(e.job, [jct](JobSeries& s) {
+        s.jobs_finished.inc();
+        s.jct_seconds.observe(jct);
+      });
       break;
-    case ReservationEndReason::Released:
-      policy_group_.counter("reservations_released").inc();
+    }
+    case TraceEventKind::kStageSubmitted:
+      stages_submitted_.inc();
       break;
-    case ReservationEndReason::SlotFailed:
-      policy_group_.counter("reservations_broken").inc();
+    case TraceEventKind::kStageFinished:
+      stages_finished_.inc();
+      break;
+    case TraceEventKind::kTaskStarted:
+      if (e.slot.v >= started_at_.size()) {
+        started_at_.resize(std::size_t{e.slot.v} + 1, kTimeInfinity);
+      }
+      started_at_[e.slot.v] = e.time;
+      count(e.task.stage.job, [](JobSeries& s) { s.tasks_started.inc(); });
+      break;
+    case TraceEventKind::kTaskFinished: {
+      const SimTime start = end_attempt(e.slot);
+      count(e.task.stage.job, [&e, start](JobSeries& s) {
+        s.tasks_finished.inc();
+        if (start != kTimeInfinity) {
+          s.task_duration_seconds.observe(e.time - start);
+        }
+      });
+      break;
+    }
+    case TraceEventKind::kTaskKilled:
+      end_attempt(e.slot);
+      count(e.task.stage.job, [](JobSeries& s) { s.tasks_killed.inc(); });
+      break;
+    case TraceEventKind::kTaskFailed:
+      end_attempt(e.slot);
+      count(e.task.stage.job, [](JobSeries& s) { s.tasks_failed.inc(); });
+      break;
+    case TraceEventKind::kTaskRequeued:
+      count(e.task.stage.job, [](JobSeries& s) { s.tasks_requeued.inc(); });
+      break;
+    case TraceEventKind::kStageInvalidated:
+      stages_invalidated_.inc();
+      break;
+    case TraceEventKind::kSlotFailed:
+      slots_failed_.inc();
+      break;
+    case TraceEventKind::kSlotRecovered:
+      slots_recovered_.inc();
+      break;
+    case TraceEventKind::kSlotReserved:
+      reservations_made_.inc();
+      break;
+    case TraceEventKind::kReservationReleased:
+      switch (e.reason) {
+        case ReservationEndReason::Expired:
+          reservations_expired_.inc();
+          break;
+        case ReservationEndReason::Released:
+          reservations_released_.inc();
+          break;
+        case ReservationEndReason::SlotFailed:
+          reservations_broken_.inc();
+          break;
+      }
+      break;
+    case TraceEventKind::kRunComplete:
+      makespan_seconds_.set(e.time);
+      utilization_.set(engine.cluster().utilization(e.time));
       break;
   }
-}
-
-void EngineMetrics::on_run_complete(const Engine& engine) {
-  policy_group_.gauge("makespan_seconds").set(engine.sim().now());
-  policy_group_.gauge("utilization")
-      .set(engine.cluster().utilization(engine.sim().now()));
 }
 
 void record_recovery(MetricsRegistry& registry, const RecoveryStats& stats,

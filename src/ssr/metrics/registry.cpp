@@ -1,5 +1,6 @@
 #include "ssr/metrics/registry.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -138,6 +139,16 @@ void write_labels(std::ostream& os, const MetricLabels& labels) {
   os << "}";
 }
 
+/// Shortest decimal text that reads back as exactly `v` (0.5, 1, 512,
+/// 1482000.25), where the stream's default six significant digits would
+/// round a sum like 1482000.25 to 1.482e+06.
+void write_double(std::ostream& os, double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  SSR_CHECK(ec == std::errc());
+  os.write(buf, end - buf);
+}
+
 }  // namespace
 
 void MetricsRegistry::write_json(std::ostream& os) const {
@@ -155,16 +166,20 @@ void MetricsRegistry::write_json(std::ostream& os) const {
         os << "\"type\": \"counter\", \"value\": " << entry->counter->value();
         break;
       case Kind::Gauge:
-        os << "\"type\": \"gauge\", \"value\": " << entry->gauge->value();
+        os << "\"type\": \"gauge\", \"value\": ";
+        write_double(os, entry->gauge->value());
         break;
       case Kind::Histogram: {
         const Histogram& h = *entry->histogram;
         os << "\"type\": \"histogram\", \"count\": " << h.count()
-           << ", \"sum\": " << h.sum() << ", \"buckets\": [";
+           << ", \"sum\": ";
+        write_double(os, h.sum());
+        os << ", \"buckets\": [";
         for (std::size_t i = 0; i < h.bounds().size(); ++i) {
           if (i > 0) os << ",";
-          os << "{\"le\": " << h.bounds()[i]
-             << ", \"count\": " << h.cumulative(i) << "}";
+          os << "{\"le\": ";
+          write_double(os, h.bounds()[i]);
+          os << ", \"count\": " << h.cumulative(i) << "}";
         }
         if (!h.bounds().empty()) os << ",";
         os << "{\"le\": \"inf\", \"count\": " << h.count() << "}]";

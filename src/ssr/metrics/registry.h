@@ -14,10 +14,10 @@
 //   Histogram  distribution over fixed upper-bound buckets (task durations,
 //              JCTs), exported with cumulative Prometheus-style counts.
 //
-// Export is a single JSON document (schema "ssr-metrics-v1") written next to
-// the BENCH_sched.json perf report by the bench smokes and by
-// examples/open_server; metrics appear in creation order, so two runs of the
-// same binary produce byte-identical documents.
+// Export is a single JSON document (schema "ssr-metrics-v1"), written by
+// examples/open_server; metrics appear in creation order and every double as
+// its shortest round-trip decimal, so two runs of the same binary produce
+// byte-identical documents.
 #pragma once
 
 #include <cstdint>

@@ -75,6 +75,16 @@ struct Cursor {
                   "truncated trace: need " << n << " bytes at offset " << pos
                                            << ", have " << buf.size() - pos);
   }
+  /// A length field must not claim more items, of at least `size` bytes
+  /// each, than the bytes left can hold: checked before anything is
+  /// reserved for them.
+  void need_items(std::uint64_t n, std::size_t size, const char* what) const {
+    SSR_CHECK_MSG(n <= (buf.size() - pos) / size,
+                  "truncated trace: " << n << " " << what
+                                      << " need at least " << size
+                                      << " bytes each at offset " << pos
+                                      << ", have " << buf.size() - pos);
+  }
   std::uint8_t u8() {
     need(1);
     return static_cast<std::uint8_t>(buf[pos++]);
@@ -409,6 +419,7 @@ TraceReplayer TraceReplayer::from_bytes(const std::string& bytes) {
   replayer.header_.false_suspicions = cur.u64();
   replayer.header_.policy = cur.str();
   const std::uint64_t count = cur.u64();
+  cur.need_items(count, 1 + 8, "events");  // kind and time
   replayer.events_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     TraceEvent e;
@@ -434,6 +445,7 @@ TraceReplayer TraceReplayer::from_bytes(const std::string& bytes) {
         e.stage.job.v = cur.u32();
         e.stage.index = cur.u32();
         const std::uint32_t n = cur.u32();
+        cur.need_items(n, 4, "parents");
         e.parents.reserve(n);
         for (std::uint32_t p = 0; p < n; ++p) e.parents.push_back(cur.u32());
         break;

@@ -118,6 +118,15 @@ TEST(BenchArgs, RejectsUnknownFlagsAndMissingValues) {
   // There is one event queue, so no flag selects or shards it.
   expect_parse_throws({"--queue", "heap"});
   expect_parse_throws({"--shards", "4"});
+  // Nothing wrote the metrics document this flag named.
+  expect_parse_throws({"--metrics-json", "x"});
+}
+
+TEST(BenchArgsDeathTest, BenchMainsExitWithStatus2OnABadFlag) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* argv[] = {"bench", "--bogus"};
+  EXPECT_EXIT(BenchArgs::parse_or_exit(2, const_cast<char**>(argv)),
+              testing::ExitedWithCode(2), "unknown argument '--bogus'");
 }
 
 TEST(SummaryStats, ComputesMomentsAndPercentiles) {

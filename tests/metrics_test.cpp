@@ -1,14 +1,16 @@
-// Tests for the metrics collectors (running-task series, task stats, JCT
-// records) against engine-driven scenarios, and for the structured metrics
-// registry (registry.h): metric resolution and label-group isolation,
-// histogram bucket semantics, JSON export (escaping, empty-run eagerness),
-// and the engine/recovery/tenant wiring through RunOptions.metrics.
+// Tests for the metrics collectors (running-task series, task stats)
+// against engine-driven scenarios, and for the structured metrics registry
+// (registry.h): metric resolution and label-group isolation, histogram
+// bucket semantics, JSON export (escaping, number text, empty-run
+// eagerness), and the engine/recovery/tenant wiring through
+// RunOptions.metrics, pinned whole by tests/golden/metrics.golden.
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "run_digest.h"
 #include "ssr/common/check.h"
 #include "ssr/exp/open_scenario.h"
 #include "ssr/exp/scenario.h"
@@ -17,49 +19,13 @@
 #include "ssr/metrics/engine_metrics.h"
 #include "ssr/metrics/registry.h"
 #include "ssr/sched/engine.h"
+#include "ssr/sim/failure_injector.h"
+#include "ssr/workload/mlbench.h"
 #include "ssr/workload/open_arrival.h"
 #include "ssr/workload/tracegen.h"
 
 namespace ssr {
 namespace {
-
-TEST(JctCollector, RecordsCompletionsInFinishOrder) {
-  Engine engine(SchedConfig{}, 1, 2, 1);
-  JctCollector jcts;
-  engine.add_observer(&jcts);
-  engine.submit(JobBuilder("slow").priority(5)
-                    .stage(1, fixed_duration(20.0)).build());
-  engine.submit(JobBuilder("fast").priority(5)
-                    .submit_at(1.0).stage(1, fixed_duration(5.0)).build());
-  engine.run();
-
-  const auto& recs = jcts.completions();
-  ASSERT_EQ(recs.size(), 2u);
-  EXPECT_EQ(recs[0].name, "fast");  // finishes at 6
-  EXPECT_EQ(recs[1].name, "slow");  // finishes at 20
-  EXPECT_DOUBLE_EQ(recs[0].jct(), 5.0);
-  EXPECT_DOUBLE_EQ(recs[1].jct(), 20.0);
-  EXPECT_EQ(recs[0].priority, 5);
-}
-
-TEST(JctCollector, NamedAndPriorityQueries) {
-  Engine engine(SchedConfig{}, 2, 2, 1);
-  JctCollector jcts;
-  engine.add_observer(&jcts);
-  engine.submit(JobBuilder("a").priority(10)
-                    .stage(1, fixed_duration(4.0)).build());
-  engine.submit(JobBuilder("a").priority(10)
-                    .stage(1, fixed_duration(6.0)).build());
-  engine.submit(JobBuilder("b").priority(0)
-                    .stage(1, fixed_duration(8.0)).build());
-  engine.run();
-
-  const auto a = jcts.jcts_named("a");
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_DOUBLE_EQ(jcts.mean_jct_with_priority_at_least(5), 5.0);
-  EXPECT_DOUBLE_EQ(jcts.mean_jct_with_priority_below(5), 8.0);
-  EXPECT_DOUBLE_EQ(jcts.mean_jct_with_priority_at_least(100), 0.0);
-}
 
 TEST(RunningTasksSeries, UnknownJobYieldsEmptySeries) {
   RunningTasksSeries series;
@@ -187,6 +153,17 @@ TEST(MetricsRegistry, HistogramExportEndsWithInfBucket) {
       << json;
 }
 
+TEST(MetricsRegistry, JsonWritesDoublesAsShortestRoundTrip) {
+  MetricsRegistry registry;
+  registry.gauge("makespan_seconds").set(1234567.891);
+  registry.histogram("busy_seconds", {0.5, 1.0, 512.0}).observe(2401850.3);
+  const std::string json = registry_json(registry);
+  EXPECT_NE(json.find("\"value\": 1234567.891}"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"sum\": 2401850.3,"), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"le\": 512, \"count\": 0}"), std::string::npos)
+      << json;
+}
+
 // --- Engine wiring -----------------------------------------------------------
 
 TEST(EngineMetrics, EmptyRunStillExportsEverySeries) {
@@ -206,6 +183,27 @@ TEST(EngineMetrics, EmptyRunStillExportsEverySeries) {
   EXPECT_NE(json.find("{\"policy\":\"idle\"}"), std::string::npos) << json;
   // Entry storage is reference-stable across resolutions.
   EXPECT_EQ(&registry.counter("probe"), &registry.counter("probe"));
+}
+
+TEST(EngineMetrics, AttachedMidRunCountsEndsWithoutInventingStarts) {
+  // The job and both attempts began before the fold was attached; their
+  // ends are counted, and no duration is made up for an unseen start.
+  Engine engine(SchedConfig{}, 1, 2, 1);
+  engine.submit(JobBuilder("early").stage(2, fixed_duration(10.0)).build());
+  engine.advance_to(5.0);
+  MetricsRegistry registry;
+  EngineMetrics metrics(registry, "late");
+  engine.add_observer(&metrics);
+  engine.drain();
+
+  MetricGroup g = registry.group({{"policy", "late"}});
+  EXPECT_EQ(g.counter("tasks_started").value(), 0u);
+  EXPECT_EQ(g.counter("tasks_finished").value(), 2u);
+  EXPECT_EQ(
+      g.histogram("task_duration_seconds", default_duration_bounds()).count(),
+      0u);
+  EXPECT_EQ(g.counter("jobs_finished").value(), 1u);
+  EXPECT_DOUBLE_EQ(g.gauge("makespan_seconds").value(), 10.0);
 }
 
 TEST(EngineMetrics, ScenarioRunFeedsRegistryAndRecoverySnapshot) {
@@ -287,6 +285,100 @@ TEST(EngineMetrics, OpenRunRecordsPerTenantLabelGroups) {
   }
   const std::string json = registry_json(registry);
   EXPECT_NE(json.find("\"tenant\":\"interactive\""), std::string::npos);
+}
+
+// The complete ssr-metrics-v1 document of a closed SSR run (straggler copies,
+// node failures) and an open two-tenant run: every series in creation order,
+// every bucket, every sum.  Regenerate after an intentional change with
+//   SSR_UPDATE_GOLDEN=1 ./tests/metrics_test
+TEST(EngineMetrics, DocumentMatchesGolden) {
+  MetricsRegistry registry;
+  SsrConfig ssr;
+  ssr.isolation_p = 0.9;
+  ssr.enable_straggler_mitigation = true;
+  RandomFailureConfig failures;
+  failures.num_nodes = 10;
+  failures.horizon = 400.0;
+  failures.failures = 6;
+  failures.min_downtime = 5.0;
+  failures.max_downtime = 40.0;
+  failures.permanent_fraction = 0.2;
+  failures.seed = 17;
+
+  TraceGenConfig bg;
+  bg.num_jobs = 24;
+  bg.window = 300.0;
+  bg.large_job_max_tasks = 40;
+  bg.seed = 29;
+  std::vector<JobSpec> jobs = make_background_jobs(bg);
+  jobs.push_back(make_kmeans(8, 10, 60.0));
+  RunOptions closed;
+  closed.ssr = ssr;
+  closed.failures = make_random_node_failures(failures);
+  closed.metrics = &registry;
+  closed.metrics_policy = "closed";
+  run_scenario(ClusterSpec{.nodes = 10, .slots_per_node = 2}, std::move(jobs),
+               closed);
+
+  std::vector<OpenTenantProfile> profiles;
+  OpenScenarioSpec spec;
+  for (const char* name : {"batch", "interactive"}) {
+    const bool interactive = std::string(name) == "interactive";
+    profiles.push_back({.tenant = name,
+                        .mean_interarrival = interactive ? 15.0 : 25.0,
+                        .num_jobs = 14,
+                        .min_parallelism = 2,
+                        .max_parallelism = interactive ? 6u : 10u,
+                        .priority = interactive ? 10 : 0});
+    spec.tenants.push_back({.name = name,
+                            .min_slots = 6,
+                            .max_slots = 14,
+                            .queue_when_full = true});
+  }
+  RunOptions open = closed;
+  // A fresh failure draw: seed 17's outages kill no interactive attempt.
+  failures.seed = 19;
+  open.failures = make_random_node_failures(failures);
+  open.metrics_policy = "open";
+  run_open_scenario(ClusterSpec{.nodes = 10, .slots_per_node = 2}, spec,
+                    make_open_arrivals(profiles, 31), open);
+
+  const std::string json = registry_json(registry);
+  // Every event-fed series moved in one of the runs, and the job and task
+  // series moved for both tenants.
+  const auto moved = [&registry](const MetricLabels& labels,
+                                 const std::string& name) {
+    MetricGroup g = registry.group(labels);
+    if (name.ends_with("_seconds") && name != "makespan_seconds") {
+      return g.histogram(name, default_duration_bounds()).count() > 0;
+    }
+    if (name == "makespan_seconds" || name == "utilization") {
+      return g.gauge(name).value() > 0.0;
+    }
+    return g.counter(name).value() > 0;
+  };
+  const std::vector<std::string> job_and_task = {
+      "jobs_submitted", "jobs_finished", "tasks_started", "tasks_finished",
+      "tasks_killed", "tasks_failed", "tasks_requeued",
+      "task_duration_seconds", "jct_seconds"};
+  std::vector<std::string> all = job_and_task;
+  all.insert(all.end(),
+             {"stages_submitted", "stages_finished", "stages_invalidated",
+              "slots_failed", "slots_recovered", "reservations_made",
+              "reservations_expired", "reservations_released",
+              "reservations_broken", "makespan_seconds", "utilization"});
+  for (const std::string& name : all) {
+    EXPECT_TRUE(moved({{"policy", "closed"}}, name) ||
+                moved({{"policy", "open"}}, name))
+        << name;
+  }
+  for (const char* tenant : {"batch", "interactive"}) {
+    for (const std::string& name : job_and_task) {
+      EXPECT_TRUE(moved({{"policy", "open"}, {"tenant", tenant}}, name))
+          << tenant << " " << name;
+    }
+  }
+  compare_golden("metrics.golden", json);
 }
 
 }  // namespace

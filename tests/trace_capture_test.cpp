@@ -528,6 +528,53 @@ TEST(TraceCaptureRejection, AttemptEndingOnAnotherSlotIsRejected) {
   }
 }
 
+// Overwrite the little-endian integer of `width` bytes at `at`.
+void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Re-seal an edited capture: FNV-1a 64 over the body (between the 8-byte
+// magic and the 8-byte checksum), so only the edited field is wrong.
+std::string resealed(std::string bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 8; i + 8 < bytes.size(); ++i) {
+    h ^= static_cast<unsigned char>(bytes[i]);
+    h *= 0x100000001b3ull;
+  }
+  put_le(bytes, bytes.size() - 8, h, 8);
+  return bytes;
+}
+
+// Offset of the u64 event count: an empty capture ends count, checksum.
+std::size_t event_count_offset(const TraceHeader& header) {
+  return serialize_trace(header, {}).size() - 16;
+}
+
+TEST(TraceCaptureRejection, EventCountBeyondTheBytesLeft) {
+  // A valid checksum over a lying count must be refused before the count
+  // sizes any allocation (it used to escape as bad_alloc / length_error).
+  const TraceHeader header;
+  const std::vector<TraceEvent> one_event(1);
+  for (const std::uint64_t lie : {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::string bytes = serialize_trace(header, one_event);
+    put_le(bytes, event_count_offset(header), lie, 8);
+    expect_rejected(resealed(bytes), "events need at least 9 bytes");
+  }
+}
+
+TEST(TraceCaptureRejection, ParentCountBeyondTheBytesLeft) {
+  const TraceHeader header;
+  std::vector<TraceEvent> events(2);  // a stage with no parents, then the end
+  events[0].kind = TraceEventKind::kStageSubmitted;
+  std::string bytes = serialize_trace(header, events);
+  // count u64, kind u8, time f64, stage (job u32, index u32), parents u32
+  const std::size_t parents_at = event_count_offset(header) + 8 + 1 + 8 + 8;
+  put_le(bytes, parents_at, 0xffffffffu, 4);
+  expect_rejected(resealed(bytes), "parents need at least 4 bytes");
+}
+
 TEST(TraceCaptureRejection, MissingFile) {
   try {
     TraceReplayer::from_file(testing::TempDir() + "ssr_no_such_capture.trace");
