@@ -1,7 +1,10 @@
 #include "ssr/audit/invariant_auditor.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "ssr/common/check.h"
 #include "ssr/sched/engine.h"
@@ -171,13 +174,29 @@ void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
     }
     const bool in_idle = cluster.idle_slots().contains(id);
     const bool in_reserved = cluster.reserved_idle_slots().contains(id);
-    const bool index_ok = (actual == SlotState::Idle && in_idle &&
-                           !in_reserved) ||
-                          (actual == SlotState::ReservedIdle && in_reserved &&
-                           !in_idle) ||
-                          ((actual == SlotState::Busy ||
-                            actual == SlotState::Dead) &&
-                           !in_idle && !in_reserved);
+    // A ReservedIdle slot is also in its job's list and its priority's
+    // bucket, and a bucket holds only ReservedIdle slots of its priority.
+    const std::optional<Reservation>& r = cluster.slot(id).reservation();
+    bool in_job = false;
+    bool buckets_ok = true;
+    if (actual == SlotState::ReservedIdle) {
+      const std::vector<SlotId>& mine = cluster.reserved_idle_slots_of(r->job);
+      in_job = std::binary_search(mine.begin(), mine.end(), id);
+      buckets_ok = cluster.reserved_idle_by_priority().contains(r->priority);
+    }
+    for (const auto& [priority, bucket] : cluster.reserved_idle_by_priority()) {
+      const bool expected = actual == SlotState::ReservedIdle &&
+                            r->priority == priority;
+      buckets_ok = buckets_ok && bucket.contains(id) == expected;
+    }
+    const bool index_ok = ((actual == SlotState::Idle && in_idle &&
+                            !in_reserved) ||
+                           (actual == SlotState::ReservedIdle && in_reserved &&
+                            !in_idle && in_job) ||
+                           ((actual == SlotState::Busy ||
+                             actual == SlotState::Dead) &&
+                            !in_idle && !in_reserved)) &&
+                          buckets_ok;
     if (!index_ok) {
       Violation v;
       v.invariant = kSlotConservation;
@@ -186,7 +205,9 @@ void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
       v.expected = "free-slot indexes consistent with slot state";
       v.actual = std::string(state_name(to_ledger(actual))) +
                  " but idle-index=" + (in_idle ? "yes" : "no") +
-                 " reserved-index=" + (in_reserved ? "yes" : "no");
+                 " reserved-index=" + (in_reserved ? "yes" : "no") +
+                 " job-index=" + (in_job ? "yes" : "no") +
+                 " priority-buckets=" + (buckets_ok ? "ok" : "wrong");
       lg.record(v);
     }
   }

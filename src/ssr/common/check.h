@@ -19,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ssr {
 
@@ -26,7 +27,17 @@ namespace ssr {
 /// signals "bug in the caller", not an environmental condition.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  explicit CheckError(const std::string& what) : CheckError(what, what) {}
+  CheckError(const std::string& what, std::string message)
+      : std::logic_error(what), message_(std::move(message)) {}
+
+  /// The caller's message alone, without the failed expression and source
+  /// location that what() carries (all of what() for the one-string form).
+  /// Command-line front ends print this to users.
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -36,7 +47,7 @@ namespace detail {
   std::ostringstream os;
   os << "check failed: " << expr << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  throw CheckError(os.str(), msg);
 }
 
 /// Comparison failure: formats both operand values ("lhs OP rhs, got 3 vs 5")

@@ -15,9 +15,8 @@ StaticReservationHook::StaticReservationHook(std::uint32_t reserved_slots,
 
 void StaticReservationHook::replenish(Engine& engine) {
   if (class_slots_.size() >= target_) return;
-  // Copy: reserving mutates the idle set.
-  const std::vector<SlotId> idle(engine.cluster().idle_slots().begin(),
-                                 engine.cluster().idle_slots().end());
+  // Walk a snapshot: reserving mutates the idle set.
+  const SlotSet idle = engine.cluster().idle_slots();
   for (SlotId s : idle) {
     if (class_slots_.size() >= target_) break;
     if (engine.cluster().slot(s).state() != SlotState::Idle) continue;

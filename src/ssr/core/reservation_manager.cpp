@@ -61,7 +61,7 @@ void ReservationManager::check_bookkeeping(const Engine& engine) const {
     jobs.insert(cluster.slot(s).reservation()->job);
   }
   for (JobId job : jobs) {
-    const std::set<SlotId>& index = cluster.reserved_idle_slots_of(job);
+    const std::vector<SlotId>& index = cluster.reserved_idle_slots_of(job);
     SSR_CHECK_MSG(std::ranges::equal(recorded[job], index),
                   job << " holds " << index.size() << " reserved slots, "
                       << recorded[job].size() << " recorded");
@@ -281,8 +281,8 @@ void ReservationManager::grab_idle_fitting_slots(Engine& engine, StageId sid,
   StageState& ss = stages_[sid];
   const Resources& demand =
       engine.graph(for_stage.job).stage(for_stage.index).demand;
-  const std::vector<SlotId> idle(engine.cluster().idle_slots().begin(),
-                                 engine.cluster().idle_slots().end());
+  // Walk a snapshot: reserving mutates the idle set.
+  const SlotSet idle = engine.cluster().idle_slots();
   for (SlotId s : idle) {
     if (ss.prereserve_needed == 0) break;
     if (engine.cluster().slot(s).state() != SlotState::Idle) continue;

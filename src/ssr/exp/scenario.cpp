@@ -121,24 +121,36 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
                     "--policy must be one of baseline, ssr, dagps, packing, "
                     "table; got '"
                         << args.policy << "'");
+    } else if (std::strcmp(argv[i], "--help") == 0 ||
+               std::strcmp(argv[i], "-h") == 0) {
+      args.help = true;
     } else {
       SSR_CHECK_MSG(false, "unknown argument '"
                                << argv[i]
                                << "' (expected --scale, --seed, --jobs, "
-                                  "--csv, --json, --bench-json, or "
-                                  "--policy)");
+                                  "--csv, --json, --bench-json, --policy "
+                                  "or --help)");
     }
   }
   return args;
 }
 
 BenchArgs BenchArgs::parse_or_exit(int argc, char** argv) {
+  BenchArgs args;
   try {
-    return parse(argc, argv);
+    args = parse(argc, argv);
   } catch (const CheckError& e) {
-    std::cerr << argv[0] << ": " << e.what() << "\n";
+    std::cerr << argv[0] << ": " << e.message() << "\n";
     std::exit(2);
   }
+  if (args.help) {
+    std::cout << "usage: " << argv[0]
+              << " [--scale N>=1] [--seed S] [--jobs N] [--csv FILE]"
+                 " [--json FILE] [--bench-json FILE]"
+                 " [--policy baseline|ssr|dagps|packing|table]\n";
+    std::exit(0);
+  }
+  return args;
 }
 
 std::uint32_t BenchArgs::scaled(std::uint32_t value) const {

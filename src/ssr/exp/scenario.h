@@ -170,10 +170,12 @@ struct BenchArgs {
   /// own default.  Benches that honour it resolve the name through
   /// exp/policy_zoo.h (parse_zoo_policy validates at parse time).
   std::string policy;
+  bool help = false;  ///< --help or -h was passed
 
   static BenchArgs parse(int argc, char** argv);
-  /// parse(), for a bench's main: a rejected argument prints the CheckError
-  /// message to stderr and exits with status 2.
+  /// parse(), for a bench's main: a rejected argument prints
+  /// `<argv0>: <message>` to stderr and exits with status 2; --help or -h
+  /// prints the accepted flags to stdout and exits with status 0.
   static BenchArgs parse_or_exit(int argc, char** argv);
   /// value / scale, at least 1 (for counts).
   std::uint32_t scaled(std::uint32_t value) const;

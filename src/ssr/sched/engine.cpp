@@ -377,29 +377,27 @@ void Engine::offer_slot(SlotId slot) {
 }
 
 void Engine::append_overridable_reserved(JobId job, int priority,
-                                         std::vector<SlotId>& out) const {
-  // k-way merge of the id-ordered priority buckets strictly below the
-  // requester's priority; reproduces the id order of one full scan over the
-  // reserved set restricted to the slots a PriorityOverride approve() would
-  // accept.  The bucket count is the number of distinct live reservation
-  // priorities — a handful — so the linear best-cursor probe is cheap.
-  using Cursor = std::set<SlotId>::const_iterator;
-  std::vector<std::pair<Cursor, Cursor>> cursors;
+                                         std::vector<SlotId>& out) {
+  // Word-wise union of the priority buckets strictly below the requester's
+  // priority; its id order is that of one full scan over the reserved set
+  // restricted to the slots a PriorityOverride approve() would accept.  The
+  // buckets number the distinct reservation priorities ever used — a
+  // handful.
+  SlotSet& lower = lower_priority_scratch_;
+  bool any = false;
   const auto& buckets = cluster_.reserved_idle_by_priority();
   for (auto it = buckets.begin(); it != buckets.end() && it->first < priority;
        ++it) {
-    cursors.emplace_back(it->second.begin(), it->second.end());
-  }
-  while (true) {
-    std::size_t best = cursors.size();
-    for (std::size_t i = 0; i < cursors.size(); ++i) {
-      if (cursors[i].first == cursors[i].second) continue;
-      if (best == cursors.size() || *cursors[i].first < *cursors[best].first) {
-        best = i;
-      }
+    if (it->second.empty()) continue;
+    if (any) {
+      lower |= it->second;
+    } else {
+      lower = it->second;
+      any = true;
     }
-    if (best == cursors.size()) break;
-    const SlotId s = *cursors[best].first++;
+  }
+  if (!any) return;
+  for (SlotId s : lower) {
     // Own-job reservations normally carry the job's own priority and never
     // land in a lower bucket, but a hook is free to tag them differently;
     // they belong to candidate group (1), not here.
@@ -411,16 +409,26 @@ void Engine::place_stage_tasks(StageRuntime& stage) {
   if (stage.all_placed()) return;
   const JobId job = stage.id().job;
   const ReservedApprovalModel model = hook_->reserved_approval_model();
+  const bool ranked = config_.selector != nullptr;
 
   // Candidate slots in preference order: (1) slots reserved for this job —
   // downstream computations reclaim their reservations first; (2) idle slots
   // holding parent outputs; (3) any other idle slot; (4) lower-priority
   // reservations (override).  Duplicates are harmless: a consumed slot fails
-  // the availability re-check.  The buffer's capacity is recycled across
-  // calls — at fig15 scale this enumeration runs for every stage submission
-  // and the repeated growth shows up in profiles.
+  // the availability re-check.  Groups (1) and (2) go into `candidates`.
+  // Without a selector, the indexed path keeps group (3) as a snapshot of
+  // the idle set's words and group (4) as a second list, both taken here,
+  // and visits them after `candidates`: the loop stops once the stage is
+  // placed, so it never lists every idle slot to place a few tasks.  The
+  // buffers' capacity is recycled across calls; they are moved out during
+  // use so a re-entrant call degrades to a fresh allocation instead of
+  // corruption.
   std::vector<SlotId> candidates = std::move(candidate_scratch_);
   candidates.clear();
+  SlotSet idle = std::move(idle_scratch_);
+  bool scan_idle = false;
+  std::vector<SlotId> overridable = std::move(overridable_scratch_);
+  overridable.clear();
   if (model == ReservedApprovalModel::Custom) {
     // Reference enumeration: full id-ordered scans over the cluster's free
     // sets.  Hooks with unknown approval semantics get this path, and the
@@ -456,12 +464,18 @@ void Engine::place_stage_tasks(StageRuntime& stage) {
       if (cluster_.slot(s).state() == SlotState::Idle) candidates.push_back(s);
     }
     if (stage.accepts_any_slot(sim_.now(), config_.locality_wait)) {
-      for (SlotId s : cluster_.idle_slots()) {
-        if (!stage.is_preferred(s)) candidates.push_back(s);
+      if (ranked) {
+        for (SlotId s : cluster_.idle_slots()) {
+          if (!stage.is_preferred(s)) candidates.push_back(s);
+        }
+      } else {
+        idle = cluster_.idle_slots();
+        scan_idle = true;
       }
     }
     if (model == ReservedApprovalModel::PriorityOverride) {
-      append_overridable_reserved(job, state(job).graph.priority(), candidates);
+      append_overridable_reserved(job, state(job).graph.priority(),
+                                  ranked ? candidates : overridable);
     }
     // NeverApprove: approve() rejects every reserved slot; nothing to add.
   }
@@ -473,19 +487,35 @@ void Engine::place_stage_tasks(StageRuntime& stage) {
   // acceptable slots the earliest pending tasks land on, never whether a
   // slot is acceptable.  Both the reference and indexed enumerations pass
   // through here, so the differential suite covers ranked placement too.
-  if (config_.selector != nullptr) {
-    config_.selector->rank_slots(*this, stage.id(), candidates);
-  }
+  if (ranked) config_.selector->rank_slots(*this, stage.id(), candidates);
 
-  for (SlotId slot : candidates) {
-    if (stage.all_placed()) break;
-    if (cluster_.slot(slot).state() == SlotState::Busy) continue;
-    if (!stage_accepts_slot(stage, slot)) continue;
+  // The snapshots hold exactly the slots, in exactly the order, that the
+  // materialized list would, so the loop makes the same starts (DESIGN.md
+  // §8).
+  const auto place = [&](SlotId slot) {
+    if (cluster_.slot(slot).state() == SlotState::Busy) return;
+    if (!stage_accepts_slot(stage, slot)) return;
     const std::uint32_t index = *stage.peek_pending();
     stage.take_pending(index);
     start_attempt(stage, stage.mutable_original(index), slot);
+  };
+  for (SlotId slot : candidates) {
+    if (stage.all_placed()) break;
+    place(slot);
+  }
+  if (scan_idle) {
+    for (SlotId slot : idle) {
+      if (stage.all_placed()) break;
+      if (!stage.is_preferred(slot)) place(slot);
+    }
+  }
+  for (SlotId slot : overridable) {
+    if (stage.all_placed()) break;
+    place(slot);
   }
   candidate_scratch_ = std::move(candidates);
+  idle_scratch_ = std::move(idle);
+  overridable_scratch_ = std::move(overridable);
   arm_locality_retry(stage);
 }
 

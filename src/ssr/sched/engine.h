@@ -278,9 +278,9 @@ class Engine : public FailureSink {
 
   /// Append the ReservedIdle slots a PriorityOverride hook would approve for
   /// `job` at `priority` (foreign reservations of strictly lower priority),
-  /// in ascending slot-id order, by merging the priority buckets.
+  /// in ascending slot-id order, from the union of the priority buckets.
   void append_overridable_reserved(JobId job, int priority,
-                                   std::vector<SlotId>& out) const;
+                                   std::vector<SlotId>& out);
 
   /// Can `stage` start its next pending task on `slot` right now?
   /// Checks approval and delay scheduling.  `slot` may be Idle or
@@ -350,10 +350,15 @@ class Engine : public FailureSink {
   /// each offer.  Every armable stage is in it.  Usually empty.
   std::vector<StageRuntime*> armable_;
 
-  /// Reusable candidate buffer for place_stage_tasks (capacity persists
-  /// across calls; moved out during use so any unexpected re-entry degrades
-  /// to a fresh allocation instead of corruption).
+  /// Reusable buffers for place_stage_tasks (capacity persists across
+  /// calls; moved out during use so any unexpected re-entry degrades to a
+  /// fresh allocation instead of corruption): the candidate list, the idle
+  /// snapshot that stands for group (3), and group (4)'s list.
   std::vector<SlotId> candidate_scratch_;
+  SlotSet idle_scratch_;
+  std::vector<SlotId> overridable_scratch_;
+  /// Union of the overridable priority buckets (append_overridable_reserved).
+  SlotSet lower_priority_scratch_;
 
   std::unique_ptr<ReservationHook> hook_;
   std::vector<EngineObserver*> observers_;

@@ -68,9 +68,8 @@ void TableDrivenHook::replenish(Engine& engine) {
   const SimTime now = engine.sim().now();
   if (!in_window(now) || held_.size() >= config_.reserved_slots) return;
   const SimTime deadline = window_end(now);
-  // Copy: reserving mutates the idle set.
-  const std::vector<SlotId> idle(engine.cluster().idle_slots().begin(),
-                                 engine.cluster().idle_slots().end());
+  // Walk a snapshot: reserving mutates the idle set.
+  const SlotSet idle = engine.cluster().idle_slots();
   for (SlotId s : idle) {
     if (held_.size() >= config_.reserved_slots) break;
     if (engine.cluster().slot(s).state() != SlotState::Idle) continue;

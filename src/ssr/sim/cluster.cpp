@@ -16,11 +16,11 @@ Cluster::Cluster(std::uint32_t num_nodes, std::uint32_t slots_per_node)
     for (std::uint32_t s = 0; s < slots_per_node; ++s) {
       slots_.emplace_back(SlotId{next_slot}, NodeId{n});
       record_capacity(slots_.back().capacity());
-      idle_.insert(SlotId{next_slot});
       slots_of_node_[n].push_back(SlotId{next_slot});
       ++next_slot;
     }
   }
+  index_all_idle();
 }
 
 Cluster::Cluster(const std::vector<std::vector<Resources>>& node_slots)
@@ -35,11 +35,17 @@ Cluster::Cluster(const std::vector<std::vector<Resources>>& node_slots)
                     "slot capacity must be positive");
       slots_.emplace_back(SlotId{next_slot}, NodeId{n}, cap);
       record_capacity(cap);
-      idle_.insert(SlotId{next_slot});
       slots_of_node_[n].push_back(SlotId{next_slot});
       ++next_slot;
     }
   }
+  index_all_idle();
+}
+
+void Cluster::index_all_idle() {
+  idle_ = SlotSet(num_slots());
+  reserved_idle_ = SlotSet(num_slots());
+  for (const Slot& s : slots_) idle_.insert(s.id());
 }
 
 void Cluster::record_capacity(const Resources& capacity) {
@@ -56,30 +62,33 @@ bool Cluster::fits_any_slot(const Resources& demand) const {
   return false;
 }
 
-const std::set<SlotId>& Cluster::reserved_idle_slots_of(JobId job) const {
-  static const std::set<SlotId> kEmpty;
-  auto it = reserved_idle_of_job_.find(job);
-  return it == reserved_idle_of_job_.end() ? kEmpty : it->second;
+const std::vector<SlotId>& Cluster::reserved_idle_slots_of(JobId job) const {
+  static const std::vector<SlotId> kEmpty;
+  const std::size_t i = job_index(job);
+  return i < by_job_.size() ? by_job_[i].slots : kEmpty;
 }
 
 void Cluster::index_reservation(SlotId id, const Reservation& r) {
   reserved_idle_.insert(id);
-  reserved_idle_of_job_[r.job].insert(id);
-  reserved_idle_by_priority_[r.priority].insert(id);
+  const std::size_t i = job_index(r.job);
+  if (i >= by_job_.size()) by_job_.resize(i + 1);
+  std::vector<SlotId>& mine = by_job_[i].slots;
+  mine.insert(std::lower_bound(mine.begin(), mine.end(), id), id);
+  reserved_idle_by_priority_.try_emplace(r.priority, num_slots())
+      .first->second.insert(id);
 }
 
 void Cluster::unindex_reservation(SlotId id, const Reservation& r) {
   reserved_idle_.erase(id);
-  auto job_it = reserved_idle_of_job_.find(r.job);
-  SSR_CHECK_MSG(job_it != reserved_idle_of_job_.end(),
+  std::vector<SlotId>& mine = by_job_.at(job_index(r.job)).slots;
+  auto job_it = std::lower_bound(mine.begin(), mine.end(), id);
+  SSR_CHECK_MSG(job_it != mine.end() && *job_it == id,
                 "reservation missing from the per-job index");
-  job_it->second.erase(id);
-  if (job_it->second.empty()) reserved_idle_of_job_.erase(job_it);
+  mine.erase(job_it);
   auto prio_it = reserved_idle_by_priority_.find(r.priority);
-  SSR_CHECK_MSG(prio_it != reserved_idle_by_priority_.end(),
-                "reservation missing from the priority index");
-  prio_it->second.erase(id);
-  if (prio_it->second.empty()) reserved_idle_by_priority_.erase(prio_it);
+  const bool bucketed = prio_it != reserved_idle_by_priority_.end() &&
+                        prio_it->second.erase(id);
+  SSR_CHECK_MSG(bucketed, "reservation missing from the priority index");
 }
 
 void Cluster::accrue(Slot& s, SimTime now) {
@@ -91,7 +100,7 @@ void Cluster::accrue(Slot& s, SimTime now) {
       break;
     case SlotState::ReservedIdle:
       s.reserved_idle_time_ += elapsed;
-      reserved_idle_by_job_[s.reservation_->job] += elapsed;
+      by_job_[job_index(s.reservation_->job)].reserved_idle_time += elapsed;
       break;
     case SlotState::Dead:
       s.dead_time_ += elapsed;
@@ -253,8 +262,8 @@ double Cluster::total_dead_time() const {
 }
 
 double Cluster::reserved_idle_time_of(JobId job) const {
-  auto it = reserved_idle_by_job_.find(job);
-  return it == reserved_idle_by_job_.end() ? 0.0 : it->second;
+  const std::size_t i = job_index(job);
+  return i < by_job_.size() ? by_job_[i].reserved_idle_time : 0.0;
 }
 
 double Cluster::utilization(SimTime now) const {

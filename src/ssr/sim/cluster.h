@@ -14,11 +14,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "ssr/common/ids.h"
 #include "ssr/common/resources.h"
 #include "ssr/common/time.h"
+#include "ssr/sim/slot_set.h"
 
 namespace ssr {
 
@@ -119,29 +119,34 @@ class Cluster {
     return slots_of_node_.at(node.v);
   }
 
-  /// Slots currently Idle (unreserved), ordered by id for determinism.
-  const std::set<SlotId>& idle_slots() const { return idle_; }
+  /// Slots currently Idle (unreserved), iterated in id order for
+  /// determinism.  Copy the set (a copy of its words) to walk a snapshot
+  /// across calls that start tasks or reserve.
+  const SlotSet& idle_slots() const { return idle_; }
 
-  /// Slots currently ReservedIdle, ordered by id.
-  const std::set<SlotId>& reserved_idle_slots() const { return reserved_idle_; }
+  /// Slots currently ReservedIdle, iterated in id order.
+  const SlotSet& reserved_idle_slots() const { return reserved_idle_; }
 
   // --- Incremental scheduler indexes --------------------------------------
   // Maintained on every state transition so the scheduling hot path never
   // rescans all slots.  Each index preserves id-ordered iteration, keeping
   // placement decisions bit-identical with the full-scan formulation.
 
-  /// ReservedIdle slots whose reservation belongs to `job`, ordered by id.
+  /// ReservedIdle slots whose reservation belongs to `job`, sorted by id.
   /// (The id-ordered subsequence of reserved_idle_slots() with that job.)
-  /// The reference dangles once the job's last reserved slot leaves the
-  /// index (claimed, released, expired or failed): the job's entry is
-  /// erased then.  Copy the set, or finish iterating it, before any call
+  /// The reference is invalidated by the first reservation of a job not
+  /// seen before, which grows the per-job table, and the vector changes
+  /// whenever one of the job's reservations is made, claimed, released,
+  /// expires or fails.  Copy it, or finish iterating it, before any call
   /// that can change a reservation — starting a task, reserving, releasing.
-  const std::set<SlotId>& reserved_idle_slots_of(JobId job) const;
+  const std::vector<SlotId>& reserved_idle_slots_of(JobId job) const;
 
-  /// ReservedIdle slots bucketed by reservation priority (each bucket
-  /// id-ordered).  Lets priority-aware policies enumerate only the buckets a
-  /// requester could override instead of scanning every reservation.
-  const std::map<int, std::set<SlotId>>& reserved_idle_by_priority() const {
+  /// ReservedIdle slots bucketed by reservation priority, each bucket a
+  /// SlotSet.  Lets priority-aware policies enumerate only the buckets a
+  /// requester could override instead of scanning every reservation.  A
+  /// bucket persists, possibly empty, once its priority has been reserved
+  /// at; there are only a few distinct priorities.
+  const std::map<int, SlotSet>& reserved_idle_by_priority() const {
     return reserved_idle_by_priority_;
   }
 
@@ -211,23 +216,41 @@ class Cluster {
   double utilization(SimTime now) const;
 
  private:
+  /// What the cluster tracks per reserving job.
+  struct JobReservations {
+    std::vector<SlotId> slots;  ///< its ReservedIdle slots, sorted by id
+    double reserved_idle_time = 0.0;  ///< seconds its reservations accrued
+  };
+
   Slot& mutable_slot(SlotId id) { return slots_.at(id.v); }
+  /// Sizes the free-slot sets and indexes every slot as Idle (construction).
+  void index_all_idle();
   void accrue(Slot& s, SimTime now);
   void record_capacity(const Resources& capacity);
   void index_reservation(SlotId id, const Reservation& r);
   void unindex_reservation(SlotId id, const Reservation& r);
 
+  /// Position of `job` in the dense per-job table.  Engine jobs count up
+  /// from 0, while hooks that hold class-wide carve-outs reserve under
+  /// sentinel ids counting down from 2^32 - 1 (StaticReservationHook::
+  /// kClassJob, TableDrivenHook::kTableJob); interleaving the two ends
+  /// keeps both dense.
+  static std::size_t job_index(JobId job) {
+    return job.v < 0x80000000u ? 2 * std::size_t{job.v}
+                               : 2 * std::size_t{~job.v} + 1;
+  }
+
   std::uint32_t num_nodes_;
   std::vector<Slot> slots_;
   /// Per-node slot lists (ascending id), fixed at construction.
   std::vector<std::vector<SlotId>> slots_of_node_;
-  std::set<SlotId> idle_;
-  std::set<SlotId> reserved_idle_;
-  /// Secondary views of reserved_idle_, keyed by reserving job / priority.
-  /// Entries are erased when their set drains so the maps stay bounded by
-  /// the number of live reservations, not of jobs ever seen.
-  std::map<JobId, std::set<SlotId>> reserved_idle_of_job_;
-  std::map<int, std::set<SlotId>> reserved_idle_by_priority_;
+  SlotSet idle_;
+  SlotSet reserved_idle_;
+  /// Secondary views of reserved_idle_, by reserving job (job_index) and by
+  /// priority.  Entries are emptied, never erased, so a transition
+  /// allocates only when a job's list outgrows its capacity.
+  std::vector<JobReservations> by_job_;
+  std::map<int, SlotSet> reserved_idle_by_priority_;
   /// Slots currently holding resident outputs of each job, indexed densely
   /// by job raw id (jobs are dense small integers); each entry is a sorted,
   /// unique slot vector.  Makes forget_job_outputs proportional to the
@@ -235,7 +258,6 @@ class Cluster {
   std::vector<std::vector<SlotId>> output_slots_of_job_;
   /// Distinct slot capacities (fixed at construction).
   std::vector<Resources> distinct_capacities_;
-  std::unordered_map<JobId, double> reserved_idle_by_job_;
   std::uint64_t next_token_ = 1;
 };
 

@@ -3,6 +3,7 @@
 // (Sec. IV-B) and straggler mitigation (Sec. IV-C).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -501,7 +502,7 @@ TEST(ReservationManager, PreReservedSlotDiesBeforeTheBarrier) {
   engine.sim().schedule_at(8.0, [&] {
     // t=5 reservation plus two pre-reservations from bg's t=7 finishes.
     ASSERT_EQ(engine.cluster().reserved_idle_slots().size(), 3u);
-    engine.fail_slot(*engine.cluster().reserved_idle_slots().rbegin());
+    engine.fail_slot(std::ranges::max(engine.cluster().reserved_idle_slots()));
   });
   engine.run();
   EXPECT_TRUE(engine.job_finished(fg));

@@ -127,6 +127,16 @@ TEST(BenchArgsDeathTest, BenchMainsExitWithStatus2OnABadFlag) {
   const char* argv[] = {"bench", "--bogus"};
   EXPECT_EXIT(BenchArgs::parse_or_exit(2, const_cast<char**>(argv)),
               testing::ExitedWithCode(2), "unknown argument '--bogus'");
+  // The user sees `<argv0>: <message>` alone: stderr is that one line, with
+  // no "check failed" expression and no source file.
+  EXPECT_EXIT(BenchArgs::parse_or_exit(2, const_cast<char**>(argv)),
+              testing::ExitedWithCode(2),
+              "^bench: unknown argument '--bogus' [^\n]*\n$");
+  for (const char* flag : {"--help", "-h"}) {
+    const char* help[] = {"bench", flag};
+    EXPECT_EXIT(BenchArgs::parse_or_exit(2, const_cast<char**>(help)),
+                testing::ExitedWithCode(0), "");
+  }
 }
 
 TEST(SummaryStats, ComputesMomentsAndPercentiles) {

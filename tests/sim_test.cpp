@@ -2,11 +2,14 @@
 // machine, including failure injection on illegal transitions.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "ssr/common/check.h"
+#include "ssr/common/rng.h"
 #include "ssr/sim/cluster.h"
 #include "ssr/sim/simulator.h"
+#include "ssr/sim/slot_set.h"
 
 namespace ssr {
 namespace {
@@ -14,6 +17,10 @@ namespace {
 TaskId task_of(std::uint32_t job, std::uint32_t stage, std::uint32_t index,
                std::uint32_t attempt = 0) {
   return TaskId{StageId{JobId{job}, stage}, index, attempt};
+}
+
+std::vector<SlotId> ids(const SlotSet& set) {
+  return std::vector<SlotId>(set.begin(), set.end());
 }
 
 TEST(Simulator, EventsFireInTimeOrder) {
@@ -228,25 +235,94 @@ TEST(Cluster, ReservedIdleIndexesTrackTransitions) {
 
   // Per-job view: id-ordered subsequence of the reserved set.
   EXPECT_EQ(c.reserved_idle_slots_of(JobId{1}),
-            (std::set<SlotId>{SlotId{0}, SlotId{2}}));
-  EXPECT_EQ(c.reserved_idle_slots_of(JobId{2}), (std::set<SlotId>{SlotId{1}}));
+            (std::vector<SlotId>{SlotId{0}, SlotId{2}}));
+  EXPECT_EQ(c.reserved_idle_slots_of(JobId{2}),
+            (std::vector<SlotId>{SlotId{1}}));
   EXPECT_TRUE(c.reserved_idle_slots_of(JobId{9}).empty());
 
   // Priority buckets, each id-ordered.
   ASSERT_EQ(c.reserved_idle_by_priority().size(), 2u);
-  EXPECT_EQ(c.reserved_idle_by_priority().at(5),
-            (std::set<SlotId>{SlotId{0}, SlotId{2}}));
-  EXPECT_EQ(c.reserved_idle_by_priority().at(3),
-            (std::set<SlotId>{SlotId{1}}));
+  EXPECT_EQ(ids(c.reserved_idle_by_priority().at(5)),
+            (std::vector<SlotId>{SlotId{0}, SlotId{2}}));
+  EXPECT_EQ(ids(c.reserved_idle_by_priority().at(3)),
+            (std::vector<SlotId>{SlotId{1}}));
 
   // Consuming a reservation by task start and releasing one both unindex;
-  // drained buckets disappear entirely.
+  // drained buckets hold no slot.
   c.start_task(SlotId{0}, task_of(1, 0, 0), 1.0);
   c.release_reservation(SlotId{1}, 1.0);
-  EXPECT_EQ(c.reserved_idle_slots_of(JobId{1}), (std::set<SlotId>{SlotId{2}}));
+  EXPECT_EQ(c.reserved_idle_slots_of(JobId{1}),
+            (std::vector<SlotId>{SlotId{2}}));
   EXPECT_TRUE(c.reserved_idle_slots_of(JobId{2}).empty());
-  EXPECT_EQ(c.reserved_idle_by_priority().count(3), 0u);
-  EXPECT_EQ(c.reserved_idle_by_priority().at(5), (std::set<SlotId>{SlotId{2}}));
+  EXPECT_TRUE(c.reserved_idle_by_priority().at(3).empty());
+  EXPECT_EQ(ids(c.reserved_idle_by_priority().at(5)),
+            (std::vector<SlotId>{SlotId{2}}));
+}
+
+// Sizes straddle the 64-bit word boundaries; every operation (insert,
+// erase, contains, next-from, union, copy-then-iterate) is mirrored on a
+// std::set and the two must agree on size, membership and id order.
+TEST(SlotSet, RandomOpsMatchSortedModel) {
+  for (const std::uint32_t n : {1u, 63u, 64u, 65u, 130u, 4000u}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed * 7919 + n);
+      SlotSet set(n);
+      std::set<SlotId> model;
+      const auto random_id = [&] {
+        return SlotId{static_cast<std::uint32_t>(rng.uniform_int(0, n - 1))};
+      };
+      for (int op = 0; op < 2000; ++op) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed
+                                        << " op=" << op);
+        switch (rng.uniform_int(0, 5)) {
+          case 0: {
+            const SlotId id = random_id();
+            ASSERT_EQ(set.insert(id), model.insert(id).second);
+            break;
+          }
+          case 1: {
+            const SlotId id = random_id();
+            ASSERT_EQ(set.erase(id), model.erase(id) == 1);
+            break;
+          }
+          case 2: {
+            const SlotId id = random_id();
+            ASSERT_EQ(set.contains(id), model.contains(id));
+            break;
+          }
+          case 3: {
+            const auto from =
+                static_cast<std::uint32_t>(rng.uniform_int(0, n));
+            const auto it = model.lower_bound(SlotId{from});
+            ASSERT_EQ(set.next_from(from), it == model.end() ? n : it->v);
+            break;
+          }
+          case 4: {
+            SlotSet other(n);
+            for (int k = 0; k < 3; ++k) {
+              const SlotId id = random_id();
+              other.insert(id);
+              model.insert(id);
+            }
+            set |= other;
+            break;
+          }
+          default: {
+            // A copy is a snapshot: mutating the original leaves it as is.
+            const SlotSet copy = set;
+            set.insert(random_id());
+            ASSERT_EQ(ids(copy), std::vector<SlotId>(model.begin(),
+                                                     model.end()));
+            set = copy;
+            break;
+          }
+        }
+        ASSERT_EQ(set.size(), model.size());
+        ASSERT_EQ(set.empty(), model.empty());
+        ASSERT_EQ(ids(set), std::vector<SlotId>(model.begin(), model.end()));
+      }
+    }
+  }
 }
 
 TEST(Cluster, FitsAnySlotUsesDistinctCapacities) {
