@@ -1,7 +1,8 @@
 #include "ssr/audit/invariant_auditor.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iomanip>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -13,11 +14,6 @@ namespace ssr::audit {
 
 namespace {
 
-/// Absolute slack (slot-seconds) for the end-of-run accounting comparison;
-/// scaled up with the magnitude of the compared totals to absorb float
-/// accumulation error on long runs.
-constexpr double kAccountingTolerance = 1e-6;
-
 template <typename T>
 std::string str(const T& value) {
   std::ostringstream os;
@@ -25,32 +21,11 @@ std::string str(const T& value) {
   return os.str();
 }
 
-LedgerSlotState to_ledger(SlotState s) {
-  switch (s) {
-    case SlotState::Idle:
-      return LedgerSlotState::Idle;
-    case SlotState::Busy:
-      return LedgerSlotState::Busy;
-    case SlotState::ReservedIdle:
-      return LedgerSlotState::ReservedIdle;
-    case SlotState::Dead:
-      return LedgerSlotState::Dead;
-  }
-  return LedgerSlotState::Idle;
-}
-
-const char* state_name(LedgerSlotState s) {
-  switch (s) {
-    case LedgerSlotState::Idle:
-      return "Idle";
-    case LedgerSlotState::Busy:
-      return "Busy";
-    case LedgerSlotState::ReservedIdle:
-      return "ReservedIdle";
-    case LedgerSlotState::Dead:
-      return "Dead";
-  }
-  return "?";
+/// Enough digits to tell apart any two doubles the exact comparison does.
+std::string exact(double value) {
+  std::ostringstream os;
+  os << std::setprecision(std::numeric_limits<double>::max_digits10) << value;
+  return os.str();
 }
 
 }  // namespace
@@ -58,7 +33,7 @@ const char* state_name(LedgerSlotState s) {
 InvariantAuditor::InvariantAuditor(AuditOptions options) : options_(options) {}
 
 void InvariantAuditor::attach(Engine& engine) {
-  ledger(engine);  // size the mirror before any event fires
+  ledger(engine);  // size the ledger before any event fires
   engine.add_observer(this);
 }
 
@@ -67,9 +42,6 @@ SlotLedger& InvariantAuditor::ledger(const Engine& engine) {
     TraceHeader header;
     header.num_slots = engine.cluster().num_slots();
     replay_.on_trace_begin(header);
-    busy_since_.assign(header.num_slots, kTimeZero);
-    reserved_since_.assign(header.num_slots, kTimeZero);
-    dead_since_.assign(header.num_slots, kTimeZero);
     begun_ = true;
   }
   return replay_.ledger();
@@ -82,7 +54,6 @@ const std::vector<Violation>& InvariantAuditor::violations() const {
 
 void InvariantAuditor::emit(const Engine& engine, const TraceEvent& event) {
   SlotLedger& lg = ledger(engine);
-  advance_mirrors(lg, event);
   replay_.on_trace_event(event);
   if (event.kind == TraceEventKind::kRunComplete) {
     check_run_complete(engine, lg, event.time);
@@ -97,45 +68,6 @@ void InvariantAuditor::emit(const Engine& engine, const TraceEvent& event) {
   reported_ = violations().size();
 }
 
-void InvariantAuditor::advance_mirrors(const SlotLedger& lg,
-                                       const TraceEvent& e) {
-  switch (e.kind) {
-    case TraceEventKind::kTaskStarted:
-      // A start on a reserved slot consumes the reservation: close its
-      // reserved-idle interval.
-      if (lg.slot_state(e.slot) == LedgerSlotState::ReservedIdle) {
-        reserved_seconds_ += e.time - reserved_since_[e.slot.v];
-      }
-      busy_since_[e.slot.v] = e.time;
-      break;
-    case TraceEventKind::kTaskFinished:
-    case TraceEventKind::kTaskKilled:
-    case TraceEventKind::kTaskFailed:
-      if (lg.slot_state(e.slot) == LedgerSlotState::Busy) {
-        busy_seconds_ += e.time - busy_since_[e.slot.v];
-      }
-      break;
-    case TraceEventKind::kSlotFailed:
-      dead_since_.at(e.slot.v) = e.time;
-      break;
-    case TraceEventKind::kSlotRecovered:
-      if (lg.slot_state(e.slot) == LedgerSlotState::Dead) {
-        dead_seconds_ += e.time - dead_since_[e.slot.v];
-      }
-      break;
-    case TraceEventKind::kSlotReserved:
-      reserved_since_.at(e.slot.v) = e.time;
-      break;
-    case TraceEventKind::kReservationReleased:
-      if (lg.slot_state(e.slot) == LedgerSlotState::ReservedIdle) {
-        reserved_seconds_ += e.time - reserved_since_[e.slot.v];
-      }
-      break;
-    default:
-      break;  // no slot-time transition
-  }
-}
-
 void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
   const Cluster& cluster = engine.cluster();
   const SimTime now = engine.sim().now();
@@ -146,16 +78,17 @@ void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
   for (std::uint32_t i = 0; i < cluster.num_slots(); ++i) {
     const SlotId id{i};
     const SlotState actual = cluster.slot(id).state();
-    const LedgerSlotState seen = lg.slot_state(id);
-    if (to_ledger(actual) != seen) {
+    const SlotState seen = lg.slot_state(id);
+    if (actual != seen) {
       // Bypass the ledger event API: record directly via a release/claim
       // would double-count, so synthesize the violation here.
       Violation v;
       v.invariant = kStateMismatch;
       v.time = now;
       v.subject = str(id);
-      v.expected = std::string("observed-event state ") + state_name(seen);
-      v.actual = std::string("cluster state ") + state_name(to_ledger(actual));
+      v.expected = std::string("observed-event state ") +
+                   slot_state_name(seen);
+      v.actual = std::string("cluster state ") + slot_state_name(actual);
       lg.record(v);
     }
     switch (actual) {
@@ -203,7 +136,7 @@ void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
       v.time = now;
       v.subject = str(id);
       v.expected = "free-slot indexes consistent with slot state";
-      v.actual = std::string(state_name(to_ledger(actual))) +
+      v.actual = std::string(slot_state_name(actual)) +
                  " but idle-index=" + (in_idle ? "yes" : "no") +
                  " reserved-index=" + (in_reserved ? "yes" : "no") +
                  " job-index=" + (in_job ? "yes" : "no") +
@@ -234,43 +167,29 @@ void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
 void InvariantAuditor::check_run_complete(const Engine& engine, SlotLedger& lg,
                                           SimTime now) {
   const Cluster& cluster = engine.cluster();
-  // Engine::run() settles the cluster before notifying, so the cluster
-  // totals and the event-stream totals describe the same interval [0, now].
+  const SlotModel& model = lg.model();
+  // Engine::drain settles the cluster before notifying, and the ledger
+  // settled its model on this event, so both describe [0, now].  Both accrue
+  // the same transitions with the same expression and sum the slots in the
+  // same order, so any difference at all is a divergence.
   const auto check_total = [&](const char* what, double cluster_total,
                                double observed) {
-    const double tolerance =
-        kAccountingTolerance +
-        1e-9 * std::max(std::abs(cluster_total), std::abs(observed));
-    if (std::abs(cluster_total - observed) > tolerance) {
+    if (cluster_total != observed) {
       Violation v;
       v.invariant = kSlotAccounting;
       v.time = now;
       v.subject = what;
-      v.expected = "cluster total " + str(cluster_total);
-      v.actual = "event-stream total " + str(observed);
+      v.expected = "cluster total " + exact(cluster_total);
+      v.actual = "event-stream total " + exact(observed);
       lg.record(v);
     }
   };
-  check_total("busy slot-seconds", cluster.total_busy_time(), busy_seconds_);
-  // Close the still-open reserved-idle intervals (e.g. a static carve-out
-  // with an infinite deadline holds its slots through end of run).
-  double reserved_observed = reserved_seconds_;
-  for (std::uint32_t i = 0; i < cluster.num_slots(); ++i) {
-    if (lg.slot_state(SlotId{i}) == LedgerSlotState::ReservedIdle) {
-      reserved_observed += now - reserved_since_[i];
-    }
-  }
+  check_total("busy slot-seconds", cluster.total_busy_time(),
+              model.total_busy());
   check_total("reserved-idle slot-seconds", cluster.total_reserved_idle_time(),
-              reserved_observed);
-  // Close the still-open dead intervals of slots that never recovered, so
-  // the dead-time comparison covers permanent failures too.
-  double dead_observed = dead_seconds_;
-  for (std::uint32_t i = 0; i < cluster.num_slots(); ++i) {
-    if (lg.slot_state(SlotId{i}) == LedgerSlotState::Dead) {
-      dead_observed += now - dead_since_[i];
-    }
-  }
-  check_total("dead slot-seconds", cluster.total_dead_time(), dead_observed);
+              model.total_reserved_idle());
+  check_total("dead slot-seconds", cluster.total_dead_time(),
+              model.total_dead());
   // No task lost: a failure may kill attempts and invalidate outputs, but
   // recovery must leave every submitted stage complete by end of run.
   for (std::uint32_t j = 0; j < engine.num_jobs(); ++j) {

@@ -18,8 +18,9 @@
 //  * barrier ordering: no downstream-phase task starts before every upstream
 //    task finished;
 //  * slot-time accounting: the busy / reserved-idle / dead slot-seconds the
-//    event stream implies (the same stream the RunResult fold consumes)
-//    match the cluster's own accounting at end of run;
+//    ledger's SlotModel accrues from the event stream (the model and the
+//    stream the RunResult fold uses) equal the cluster's own accounting at
+//    end of run, bit for bit;
 //  * failure safety: no task starts, claim, or reservation ever touches a
 //    Dead slot, and no logical task is lost — at end of run every submitted
 //    stage is complete even when fault injection killed attempts and
@@ -67,16 +68,14 @@ class InvariantAuditor : public TraceStream {
   std::uint64_t events_audited() const { return events_; }
 
  protected:
-  /// In order: advance the slot-time mirrors from the ledger state before
-  /// the transition, apply the transition (ReplayAuditor), run the
-  /// end-of-run checks on kRunComplete, then cross-check the cluster and
-  /// apply the throw policy.
+  /// In order: apply the transition (ReplayAuditor), run the end-of-run
+  /// checks on kRunComplete, then cross-check the cluster and apply the
+  /// throw policy.
   void emit(const Engine& engine, const TraceEvent& event) override;
 
  private:
   /// The ledger, sized from `engine` on first use.
   SlotLedger& ledger(const Engine& engine);
-  void advance_mirrors(const SlotLedger& lg, const TraceEvent& event);
   void check_run_complete(const Engine& engine, SlotLedger& lg, SimTime now);
   void cross_check(const Engine& engine, SlotLedger& lg);
 
@@ -85,14 +84,6 @@ class InvariantAuditor : public TraceStream {
   bool begun_ = false;  ///< replay_ has seen on_trace_begin
   std::uint64_t events_ = 0;
   std::size_t reported_ = 0;  ///< violations already thrown for
-
-  // Slot-time accounting mirrors (indexed by slot id).
-  std::vector<SimTime> busy_since_;
-  std::vector<SimTime> reserved_since_;
-  std::vector<SimTime> dead_since_;
-  double busy_seconds_ = 0.0;
-  double reserved_seconds_ = 0.0;
-  double dead_seconds_ = 0.0;
 };
 
 }  // namespace ssr::audit

@@ -20,31 +20,9 @@ std::string str(const T& value) {
   return os.str();
 }
 
-const char* state_name(LedgerSlotState s) {
-  switch (s) {
-    case LedgerSlotState::Idle:
-      return "Idle";
-    case LedgerSlotState::Busy:
-      return "Busy";
-    case LedgerSlotState::ReservedIdle:
-      return "ReservedIdle";
-    case LedgerSlotState::Dead:
-      return "Dead";
-  }
-  return "?";
-}
-
 }  // namespace
 
-SlotLedger::SlotLedger(std::uint32_t num_slots) : slots_(num_slots) {}
-
-SlotLedger::SlotMirror& SlotLedger::mirror(SlotId slot) {
-  return slots_.at(slot.v);
-}
-
-LedgerSlotState SlotLedger::slot_state(SlotId slot) const {
-  return slots_.at(slot.v).state;
-}
+SlotLedger::SlotLedger(std::uint32_t num_slots) : model_(num_slots) {}
 
 void SlotLedger::flag(const char* invariant, SimTime now, std::string subject,
                       std::string expected, std::string actual) {
@@ -75,142 +53,126 @@ void SlotLedger::check_stage_known(TaskId task, SimTime now) {
 void SlotLedger::on_reserve(SlotId slot, JobId job, int priority,
                             SimTime deadline, SimTime now) {
   touch(now);
-  SlotMirror& m = mirror(slot);
-  if (m.state == LedgerSlotState::Dead) {
+  const SlotModel::Record& m = model_.at(slot);
+  if (m.state == SlotState::Dead) {
     flag(kDeadSlotUse, now, str(slot), "a live slot to reserve", "Dead");
-  } else if (m.state != LedgerSlotState::Idle) {
+  } else if (m.state != SlotState::Idle) {
     flag(kDoubleReserve, now, str(slot), "Idle slot to reserve",
-         std::string(state_name(m.state)) +
-             (m.reservation ? " (reserved by " + str(m.reservation->job) + ")"
-                            : ""));
+         std::string(slot_state_name(m.state)) +
+             (m.state == SlotState::ReservedIdle
+                  ? " (reserved by " + str(m.owner) + ")"
+                  : ""));
   }
-  m.state = LedgerSlotState::ReservedIdle;
-  m.reservation = ReservationMirror{job, priority, deadline};
-  m.task.reset();
+  model_.to_reserved(slot, job, priority, deadline, now);
 }
 
 void SlotLedger::on_claim(SlotId slot, TaskId task, int priority,
                           SimTime now) {
   touch(now);
   check_stage_known(task, now);
-  SlotMirror& m = mirror(slot);
-  if (m.state == LedgerSlotState::Dead) {
+  const SlotModel::Record& m = model_.at(slot);
+  if (m.state == SlotState::Dead) {
     flag(kDeadSlotUse, now, str(task), "a live slot to claim",
          str(slot) + " is Dead");
-  } else if (m.state != LedgerSlotState::ReservedIdle || !m.reservation) {
+  } else if (m.state != SlotState::ReservedIdle) {
     flag(kDoubleClaim, now, str(slot),
          "an active reservation to claim for " + str(task),
-         std::string(state_name(m.state)) + " with no active reservation");
+         std::string(slot_state_name(m.state)) +
+             " with no active reservation");
   } else {
-    const ReservationMirror& res = *m.reservation;
-    if (task.stage.job != res.job && priority <= res.priority) {
+    if (task.stage.job != m.owner && priority <= m.priority) {
       flag(kReservedSlotPriority, now, str(task),
-           "claim by " + str(res.job) + " or priority > " + str(res.priority),
+           "claim by " + str(m.owner) + " or priority > " + str(m.priority),
            str(task.stage.job) + " with priority " + str(priority));
     }
-    if (now > res.deadline + kDeadlineEps) {
+    if (now > m.deadline + kDeadlineEps) {
       flag(kExpiredClaim, now, str(task),
-           "claim at or before deadline " + str(res.deadline), str(now));
+           "claim at or before deadline " + str(m.deadline), str(now));
     }
   }
-  m.state = LedgerSlotState::Busy;
-  m.reservation.reset();
-  m.task = task;
+  model_.to_busy(slot, task, now);
 }
 
 void SlotLedger::on_start(SlotId slot, TaskId task, SimTime now) {
   touch(now);
   check_stage_known(task, now);
-  SlotMirror& m = mirror(slot);
-  if (m.state == LedgerSlotState::Dead) {
+  const SlotModel::Record& m = model_.at(slot);
+  if (m.state == SlotState::Dead) {
     flag(kDeadSlotUse, now, str(task), "a live slot to start on",
          str(slot) + " is Dead");
-  } else if (m.state == LedgerSlotState::Busy) {
+  } else if (m.state == SlotState::Busy) {
     flag(kTaskLifecycle, now, str(task), "an idle slot to start on",
-         str(slot) + " already running " +
-             (m.task ? str(*m.task) : std::string("?")));
-  } else if (m.state == LedgerSlotState::ReservedIdle) {
+         str(slot) + " already running " + str(m.task));
+  } else if (m.state == SlotState::ReservedIdle) {
     // The caller routed a reserved-slot start through on_start instead of
     // on_claim: the reservation is being consumed without claim validation.
     flag(kTaskLifecycle, now, str(task),
          "reserved slot consumed via a claim", "plain start on " + str(slot));
   }
-  m.state = LedgerSlotState::Busy;
-  m.reservation.reset();
-  m.task = task;
+  model_.to_busy(slot, task, now);
 }
 
 void SlotLedger::on_finish(SlotId slot, TaskId task, SimTime now) {
-  touch(now);
-  SlotMirror& m = mirror(slot);
-  if (m.state != LedgerSlotState::Busy || m.task != task) {
-    flag(kTaskLifecycle, now, str(task),
-         "finish of the task running on " + str(slot),
-         m.task ? str(*m.task) + " running" : "slot not busy");
-  }
-  m.state = LedgerSlotState::Idle;
-  m.reservation.reset();
-  m.task.reset();
+  end_task("finish", slot, task, now);
 }
 
 void SlotLedger::on_kill(SlotId slot, TaskId task, SimTime now) {
+  end_task("kill", slot, task, now);
+}
+
+void SlotLedger::end_task(const char* what, SlotId slot, TaskId task,
+                          SimTime now) {
   touch(now);
-  SlotMirror& m = mirror(slot);
-  if (m.state != LedgerSlotState::Busy || m.task != task) {
+  const SlotModel::Record& m = model_.at(slot);
+  if (m.state != SlotState::Busy || m.task != task) {
     flag(kTaskLifecycle, now, str(task),
-         "kill of the task running on " + str(slot),
-         m.task ? str(*m.task) + " running" : "slot not busy");
+         std::string(what) + " of the task running on " + str(slot),
+         m.state == SlotState::Busy ? str(m.task) + " running"
+                                    : "slot not busy");
   }
-  m.state = LedgerSlotState::Idle;
-  m.reservation.reset();
-  m.task.reset();
+  model_.to_idle(slot, now);
 }
 
 void SlotLedger::on_release(SlotId slot, LedgerRelease kind, SimTime now) {
   touch(now);
-  SlotMirror& m = mirror(slot);
-  if (m.state != LedgerSlotState::ReservedIdle || !m.reservation) {
+  const SlotModel::Record& m = model_.at(slot);
+  if (m.state != SlotState::ReservedIdle) {
     flag(kDoubleRelease, now, str(slot), "an active reservation to release",
-         std::string(state_name(m.state)) + " with no active reservation");
+         std::string(slot_state_name(m.state)) +
+             " with no active reservation");
   } else if (kind == LedgerRelease::Expired) {
-    const SimTime deadline = m.reservation->deadline;
-    if (deadline >= kTimeInfinity) {
+    if (m.deadline >= kTimeInfinity) {
       flag(kExpiryTime, now, str(slot),
            "no expiry (reservation has no deadline)", "expired at " + str(now));
-    } else if (std::abs(now - deadline) > kDeadlineEps) {
-      flag(kExpiryTime, now, str(slot), "expiry exactly at " + str(deadline),
+    } else if (std::abs(now - m.deadline) > kDeadlineEps) {
+      flag(kExpiryTime, now, str(slot), "expiry exactly at " + str(m.deadline),
            str(now));
     }
   }
-  m.state = LedgerSlotState::Idle;
-  m.reservation.reset();
-  m.task.reset();
+  model_.to_idle(slot, now);
 }
 
 void SlotLedger::on_fail(SlotId slot, SimTime now) {
   touch(now);
-  SlotMirror& m = mirror(slot);
-  if (m.state != LedgerSlotState::Idle) {
+  const SlotModel::Record& m = model_.at(slot);
+  if (m.state != SlotState::Idle) {
     flag(kDeadSlotUse, now, str(slot),
          "a drained (Idle) slot at failure time",
-         std::string(state_name(m.state)) +
-             (m.task ? " running " + str(*m.task) : std::string()));
+         std::string(slot_state_name(m.state)) +
+             (m.state == SlotState::Busy ? " running " + str(m.task)
+                                         : std::string()));
   }
-  m.state = LedgerSlotState::Dead;
-  m.reservation.reset();
-  m.task.reset();
+  model_.to_dead(slot, now);
 }
 
 void SlotLedger::on_recover(SlotId slot, SimTime now) {
   touch(now);
-  SlotMirror& m = mirror(slot);
-  if (m.state != LedgerSlotState::Dead) {
+  const SlotModel::Record& m = model_.at(slot);
+  if (m.state != SlotState::Dead) {
     flag(kDeadSlotUse, now, str(slot), "a Dead slot to recover",
-         state_name(m.state));
+         slot_state_name(m.state));
   }
-  m.state = LedgerSlotState::Idle;
-  m.reservation.reset();
-  m.task.reset();
+  model_.to_idle(slot, now);
 }
 
 void SlotLedger::on_stage_submitted(StageId stage,

@@ -1,7 +1,7 @@
 // Pure event-stream invariant checker for the slot / reservation / barrier
 // state machines.
 //
-// SlotLedger replays scheduler events against its own mirror of the cluster
+// SlotLedger replays scheduler events against a SlotModel (sim/slot_model.h)
 // and records a Violation for every transition the paper's model forbids:
 // reservations may only be placed on idle slots, claimed by the reserving job
 // or a strictly higher priority, and must end exactly at their deadline;
@@ -9,25 +9,22 @@
 // moves backwards.  It is deliberately independent of Engine/Cluster so
 // seeded-bug tests can feed illegal sequences directly and assert the exact
 // invariant id; ReplayAuditor maps TraceEvents onto it, and InvariantAuditor
-// feeds that mapping live and adds the cluster cross-checks a mirror alone
-// cannot do.
+// feeds that mapping live and adds the cluster cross-checks a model alone
+// cannot do, among them comparing the model's slot-seconds with the
+// cluster's.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "ssr/audit/violation.h"
 #include "ssr/common/ids.h"
 #include "ssr/common/time.h"
+#include "ssr/sim/slot_model.h"
 
 namespace ssr::audit {
-
-/// Mirror of a slot's state (kept separate from ssr::SlotState so the ledger
-/// never depends on sim/cluster headers).
-enum class LedgerSlotState { Idle, Busy, ReservedIdle, Dead };
 
 /// How a reservation ended without being claimed.
 enum class LedgerRelease { Expired, Released };
@@ -37,9 +34,9 @@ class SlotLedger {
   explicit SlotLedger(std::uint32_t num_slots);
 
   // --- Events ---------------------------------------------------------------
-  // Each call validates the transition, records violations, and then applies
-  // the transition best-effort so one bug does not cascade into dozens of
-  // spurious reports.
+  // Each call validates the transition, records violations, and then moves
+  // the model anyway so one bug does not cascade into dozens of spurious
+  // reports.  A slot id outside the model throws CheckError.
 
   /// Idle -> ReservedIdle on behalf of `job` with inherited `priority`.
   void on_reserve(SlotId slot, JobId job, int priority, SimTime deadline,
@@ -76,12 +73,13 @@ class SlotLedger {
   /// barrier-ordering violation.
   void on_stage_invalidated(StageId stage, SimTime now);
 
+  /// The run ended at `now`: settles the model's slot-time accounting.
+  void on_run_complete(SimTime now) { model_.settle(now); }
+
   // --- Inspection -----------------------------------------------------------
 
-  std::uint32_t num_slots() const {
-    return static_cast<std::uint32_t>(slots_.size());
-  }
-  LedgerSlotState slot_state(SlotId slot) const;
+  SlotState slot_state(SlotId slot) const { return model_.at(slot).state; }
+  const SlotModel& model() const { return model_; }
 
   bool clean() const { return violations_.empty(); }
   const std::vector<Violation>& violations() const { return violations_; }
@@ -91,25 +89,15 @@ class SlotLedger {
   void record(Violation violation);
 
  private:
-  struct ReservationMirror {
-    JobId job;
-    int priority = 0;
-    SimTime deadline = kTimeInfinity;
-  };
-  struct SlotMirror {
-    LedgerSlotState state = LedgerSlotState::Idle;
-    std::optional<ReservationMirror> reservation;
-    std::optional<TaskId> task;
-  };
-
-  SlotMirror& mirror(SlotId slot);
   void flag(const char* invariant, SimTime now, std::string subject,
             std::string expected, std::string actual);
   /// Monotonic-clock check shared by every event.
   void touch(SimTime now);
   void check_stage_known(TaskId task, SimTime now);
+  /// on_finish / on_kill: `what` names the end in the report.
+  void end_task(const char* what, SlotId slot, TaskId task, SimTime now);
 
-  std::vector<SlotMirror> slots_;
+  SlotModel model_;
   std::set<StageId> submitted_stages_;
   std::set<StageId> finished_stages_;
   SimTime last_time_ = kTimeZero;

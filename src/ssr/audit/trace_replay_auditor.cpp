@@ -33,8 +33,10 @@ void ReplayAuditor::on_trace_event(const TraceEvent& e) {
       break;
     case TraceEventKind::kJobFinished:
     case TraceEventKind::kTaskRequeued:
-    case TraceEventKind::kRunComplete:
       break;  // no ledger transition
+    case TraceEventKind::kRunComplete:
+      lg.on_run_complete(e.time);
+      break;
     case TraceEventKind::kStageSubmitted: {
       std::vector<StageId> parents;
       parents.reserve(e.parents.size());
@@ -53,7 +55,7 @@ void ReplayAuditor::on_trace_event(const TraceEvent& e) {
     case TraceEventKind::kTaskStarted:
       // A start on a slot the ledger believes reserved is a claim
       // (priority/deadline checks).
-      if (lg.slot_state(e.slot) == LedgerSlotState::ReservedIdle) {
+      if (lg.slot_state(e.slot) == SlotState::ReservedIdle) {
         auto it = priority_.find(e.task.stage.job);
         lg.on_claim(e.slot, e.task,
                     it != priority_.end() ? it->second : 0, e.time);
@@ -66,7 +68,7 @@ void ReplayAuditor::on_trace_event(const TraceEvent& e) {
       break;
     case TraceEventKind::kTaskKilled:
     case TraceEventKind::kTaskFailed:
-      // task_failed is the same mirror transition as a race-loss kill; the
+      // task_failed is the same slot transition as a race-loss kill; the
       // slot goes Dead in the following kSlotFailed event.
       lg.on_kill(e.slot, e.task, e.time);
       break;

@@ -3,7 +3,8 @@
 // ReplayAuditor runs the invariant audit over an event stream with no
 // Engine: each TraceEvent maps onto one SlotLedger call (claim-vs-start
 // split on the ledger's own reserved state, task_failed folded onto
-// on_kill, stage parents from the captured barrier lists).  It audits a
+// on_kill, stage parents from the captured barrier lists, run completion
+// settling the ledger's slot-time accounting).  It audits a
 // capture through TraceReplayer, and InvariantAuditor forwards every live
 // event to one, adding the cross-checks against the Engine.  A capture of a
 // clean run must replay clean; a capture that trips the ledger names the

@@ -20,7 +20,7 @@ namespace ssr::audit {
 /// idle + busy + reserved-idle slot counts must equal cluster capacity, and
 /// the cluster's idle/reserved index sets must agree with per-slot states.
 inline constexpr const char* kSlotConservation = "slot-conservation";
-/// The auditor's mirrored slot state disagrees with the cluster's.
+/// The slot state the event stream implies disagrees with the cluster's.
 inline constexpr const char* kStateMismatch = "slot-state-mismatch";
 /// A task of an equal/lower-priority foreign job landed on a reserved slot
 /// (Algorithm 1's ApprovalLogic).
@@ -43,8 +43,9 @@ inline constexpr const char* kBarrierOrdering = "barrier-ordering";
 /// Task attempt state machine broken: double start, finish/kill of a task
 /// that is not running on the slot, start on a busy slot.
 inline constexpr const char* kTaskLifecycle = "task-lifecycle";
-/// Observed busy / reserved-idle slot-seconds disagree with the cluster's
-/// accounting (metrics/collectors consume the same event stream).
+/// The busy / reserved-idle / dead slot-seconds the event stream implies
+/// differ, in any bit, from the cluster's accounting (the RunResult fold
+/// accrues the same stream with the same SlotModel).
 inline constexpr const char* kSlotAccounting = "slot-accounting";
 /// A dead slot was used: reserve/start/claim on a Dead slot, failure of a
 /// non-drained slot, or recovery of a slot that was not Dead.

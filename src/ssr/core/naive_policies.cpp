@@ -55,23 +55,6 @@ void StaticReservationHook::on_slot_failed(Engine& engine, SlotId slot) {
   if (class_slots_.erase(slot) > 0) replenish(engine);
 }
 
-bool StaticReservationHook::approve(const Engine& engine, SlotId slot,
-                                    JobId job, int priority) const {
-  const Slot& s = engine.cluster().slot(slot);
-  switch (s.state()) {
-    case SlotState::Idle:
-      return true;
-    case SlotState::ReservedIdle: {
-      const Reservation& r = *s.reservation();
-      return r.job == job || priority > r.priority;
-    }
-    case SlotState::Busy:
-    case SlotState::Dead:
-      return false;
-  }
-  return false;
-}
-
 void StaticReservationHook::on_task_started(Engine& engine, TaskId,
                                             SlotId slot) {
   // A class job consumed one of the carve-out slots; top it back up.
@@ -118,23 +101,6 @@ void TimeoutReservationHook::on_slot_failed(Engine&, SlotId slot) {
     by_job_[it->second].erase(slot);
     held_.erase(it);
   }
-}
-
-bool TimeoutReservationHook::approve(const Engine& engine, SlotId slot,
-                                     JobId job, int priority) const {
-  const Slot& s = engine.cluster().slot(slot);
-  switch (s.state()) {
-    case SlotState::Idle:
-      return true;
-    case SlotState::ReservedIdle: {
-      const Reservation& r = *s.reservation();
-      return r.job == job || priority > r.priority;
-    }
-    case SlotState::Busy:
-    case SlotState::Dead:
-      return false;
-  }
-  return false;
 }
 
 void TimeoutReservationHook::on_task_started(Engine&, TaskId, SlotId slot) {

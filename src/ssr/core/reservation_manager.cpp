@@ -331,25 +331,6 @@ void ReservationManager::on_slot_failed(Engine&, SlotId slot) {
   take_record(slot);
 }
 
-bool ReservationManager::approve(const Engine& engine, SlotId slot, JobId job,
-                                 int priority) const {
-  const Slot& s = engine.cluster().slot(slot);
-  switch (s.state()) {
-    case SlotState::Idle:
-      return true;
-    case SlotState::ReservedIdle: {
-      // Algorithm 1, TryAllocateTask: skip unless the requester is the
-      // reserving job itself or has a strictly higher priority.
-      const Reservation& r = *s.reservation();
-      return r.job == job || priority > r.priority;
-    }
-    case SlotState::Busy:
-    case SlotState::Dead:
-      return false;
-  }
-  return false;
-}
-
 void ReservationManager::on_stage_submitted(Engine&, StageId) {}
 
 void ReservationManager::on_stage_fully_placed(Engine& engine, StageId stage) {

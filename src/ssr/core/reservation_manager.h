@@ -46,8 +46,6 @@ class ReservationManager : public ReservationHook {
   void on_task_killed(Engine& engine, const TaskFinishInfo& info) override;
   void on_slot_idle(Engine& engine, SlotId slot) override;
   void on_slot_failed(Engine& engine, SlotId slot) override;
-  bool approve(const Engine& engine, SlotId slot, JobId job,
-               int priority) const override;
   ReservedApprovalModel reserved_approval_model() const override {
     return ReservedApprovalModel::PriorityOverride;
   }

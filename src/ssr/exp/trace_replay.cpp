@@ -7,11 +7,6 @@
 namespace ssr {
 
 namespace {
-constexpr int kIdle = 0;
-constexpr int kBusy = 1;
-constexpr int kReservedIdle = 2;
-constexpr int kDead = 3;
-
 std::tuple<JobId, std::uint32_t, std::uint32_t> logical_task(TaskId task) {
   return {task.stage.job, task.stage.index, task.index};
 }
@@ -19,46 +14,15 @@ std::tuple<JobId, std::uint32_t, std::uint32_t> logical_task(TaskId task) {
 
 void ReplayResultBuilder::on_trace_begin(const TraceHeader& header) {
   header_ = header;
-  slots_.assign(header.num_slots, SlotMirror{});
-}
-
-ReplayResultBuilder::SlotMirror& ReplayResultBuilder::slot_mirror(SlotId slot) {
-  SSR_CHECK_MSG(slot.v < slots_.size(),
-                "trace references " << slot << " but the header declares only "
-                                    << slots_.size() << " slots");
-  return slots_[slot.v];
-}
-
-void ReplayResultBuilder::accrue(SlotMirror& s, SimTime now) {
-  // Cluster::accrue, verbatim: same expression, same accumulator layout.
-  const double elapsed = now - s.state_since;
-  switch (s.state) {
-    case kBusy:
-      s.busy += elapsed;
-      break;
-    case kReservedIdle:
-      s.reserved_idle += elapsed;
-      reserved_idle_by_job_[s.reserved_job] += elapsed;
-      break;
-    case kDead:
-      s.dead += elapsed;
-      break;
-    default:
-      break;
-  }
-  s.state_since = now;
+  slots_ = SlotModel(header.num_slots);
 }
 
 JobTaskStats& ReplayResultBuilder::end_attempt(const TraceEvent& e) {
-  SlotMirror& s = slot_mirror(e.slot);
-  SSR_CHECK_MSG(s.state == kBusy && s.task == e.task,
+  const SlotModel::Record& s = slots_.at(e.slot);
+  SSR_CHECK_MSG(s.state == SlotState::Busy && s.task == e.task,
                 "trace ends attempt " << e.task << " on " << e.slot
                                       << ", which is not running it");
-  // The slot was stamped when the attempt started and no event touched it
-  // since, so this is exactly the attempt's run time.
-  const double busy = e.time - s.state_since;
-  accrue(s, e.time);
-  s.state = kIdle;
+  const double busy = slots_.to_idle(e.slot, e.time);
   JobTaskStats& ts = task_stats_[e.task.stage.job];
   ts.busy_seconds += busy;
   return ts;
@@ -80,10 +44,7 @@ void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
     case TraceEventKind::kStageFinished:
       break;  // no RunResult contribution
     case TraceEventKind::kTaskStarted: {
-      SlotMirror& s = slot_mirror(e.slot);
-      accrue(s, e.time);
-      s.state = kBusy;
-      s.task = e.task;
+      slots_.to_busy(e.slot, e.task, e.time);
       JobTaskStats& ts = task_stats_[e.task.stage.job];
       ++ts.tasks_started;
       if (e.task.attempt >= 1) ++ts.copies_started;
@@ -116,31 +77,19 @@ void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
     case TraceEventKind::kStageInvalidated:
       ++recovery_.stages_invalidated;
       break;
-    case TraceEventKind::kSlotFailed: {
-      SlotMirror& s = slot_mirror(e.slot);
-      accrue(s, e.time);
-      s.state = kDead;
+    case TraceEventKind::kSlotFailed:
+      slots_.to_dead(e.slot, e.time);
       ++recovery_.slots_failed;
       break;
-    }
-    case TraceEventKind::kSlotRecovered: {
-      SlotMirror& s = slot_mirror(e.slot);
-      accrue(s, e.time);
-      s.state = kIdle;
+    case TraceEventKind::kSlotRecovered:
+      slots_.to_idle(e.slot, e.time);
       ++recovery_.slots_recovered;
       break;
-    }
-    case TraceEventKind::kSlotReserved: {
-      SlotMirror& s = slot_mirror(e.slot);
-      accrue(s, e.time);
-      s.state = kReservedIdle;
-      s.reserved_job = e.job;
+    case TraceEventKind::kSlotReserved:
+      slots_.to_reserved(e.slot, e.job, e.priority, e.deadline, e.time);
       break;
-    }
     case TraceEventKind::kReservationReleased: {
-      SlotMirror& s = slot_mirror(e.slot);
-      accrue(s, e.time);
-      s.state = kIdle;
+      slots_.to_idle(e.slot, e.time);
       if (e.reason == ReservationEndReason::Expired) ++expired_releases_;
       if (e.reason == ReservationEndReason::SlotFailed) {
         ++recovery_.reservations_broken;
@@ -154,8 +103,7 @@ void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
 }
 
 void ReplayResultBuilder::finalize(SimTime now) {
-  // Cluster::settle: flush every slot in ascending id order.
-  for (SlotMirror& s : slots_) accrue(s, now);
+  slots_.settle(now);
 
   result_ = RunResult{};
   result_.jobs.reserve(jobs_.size());
@@ -169,22 +117,17 @@ void ReplayResultBuilder::finalize(SimTime now) {
     jr.jct = j.finish - j.submit;
     auto ts = task_stats_.find(id);
     jr.busy_seconds = ts != task_stats_.end() ? ts->second.busy_seconds : 0.0;
-    auto ri = reserved_idle_by_job_.find(id);
-    jr.reserved_idle_seconds =
-        ri != reserved_idle_by_job_.end() ? ri->second : 0.0;
+    jr.reserved_idle_seconds = slots_.reserved_idle_of(id);
     result_.jobs.push_back(std::move(jr));
     result_.makespan = std::max(result_.makespan, j.finish);
   }
-  // Totals fold in ascending slot-id order, like the Cluster total_* scans.
-  for (const SlotMirror& s : slots_) {
-    result_.busy_time += s.busy;
-    result_.reserved_idle_time += s.reserved_idle;
-    result_.dead_time += s.dead;
-  }
+  result_.busy_time = slots_.total_busy();
+  result_.reserved_idle_time = slots_.total_reserved_idle();
+  result_.dead_time = slots_.total_dead();
   result_.utilization =
       result_.makespan > 0.0
           ? result_.busy_time /
-                (result_.makespan * static_cast<double>(slots_.size()))
+                (result_.makespan * static_cast<double>(slots_.num_slots()))
           : 0.0;
   if (header_.counts_expired) {
     result_.reservations_expired = expired_releases_;

@@ -6,15 +6,13 @@
 // two results are bit-identical (digest byte-equality) because both runs
 // fold the same events with the same arithmetic:
 //
-//   * slot time accounting replays Cluster::accrue verbatim — per-slot
-//     elapsed = now - state_since accumulators, advanced at precisely the
-//     cluster transitions the observer events mark, settled in ascending
-//     slot-id order at run completion (Engine::drain's settle);
-//     ScenarioHarness::collect checks these against the Cluster's own
-//     accounting exactly;
-//   * an attempt's busy seconds are now - state_since of its slot, read
-//     before the slot accrues: the slot was stamped when the attempt
-//     started and no event touches it until the attempt ends;
+//   * slot time accounting is a SlotModel (sim/slot_model.h) moved at
+//     precisely the cluster transitions the events mark and settled at run
+//     completion (Engine::drain's settle); ScenarioHarness::collect checks
+//     it against the Cluster's own accounting exactly;
+//   * an attempt's busy seconds are the time its slot's end move accrues:
+//     the slot was stamped when the attempt started and no event touches
+//     it until the attempt ends;
 //   * per-job task counters accumulate in event order in a
 //     std::map<JobId, ...>, and totals fold in ascending job order;
 //   * recovery counters track logical tasks with an open failed attempt
@@ -37,11 +35,10 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
-#include <vector>
 
 #include "ssr/exp/scenario.h"
 #include "ssr/metrics/trace_capture.h"
+#include "ssr/sim/slot_model.h"
 
 namespace ssr {
 
@@ -61,16 +58,6 @@ class ReplayResultBuilder : public TraceConsumer {
   const RecoveryStats& recovery() const { return recovery_; }
 
  private:
-  struct SlotMirror {
-    // Mirrors Slot's accounting fields one-for-one (sim/cluster.h).
-    int state = 0;  ///< 0 Idle, 1 Busy, 2 ReservedIdle, 3 Dead
-    SimTime state_since = 0.0;
-    double busy = 0.0;
-    double reserved_idle = 0.0;
-    double dead = 0.0;
-    JobId reserved_job;  ///< valid while state == ReservedIdle
-    TaskId task;         ///< valid while state == Busy
-  };
   struct JobMirror {
     std::string name;
     int priority = 0;
@@ -78,11 +65,9 @@ class ReplayResultBuilder : public TraceConsumer {
     SimTime finish = 0.0;
   };
 
-  void accrue(SlotMirror& s, SimTime now);
-  SlotMirror& slot_mirror(SlotId slot);
-  /// Ends the attempt running on the event's slot: accrues the slot, leaves
-  /// it Idle, and returns the attempt's stats row after adding its busy
-  /// seconds.  Throws CheckError unless the slot is Busy with that attempt.
+  /// Ends the attempt running on the event's slot: moves the slot to Idle
+  /// and returns the attempt's stats row after adding its busy seconds.
+  /// Throws CheckError unless the slot is Busy with that attempt.
   JobTaskStats& end_attempt(const TraceEvent& e);
   void finalize(SimTime now);
 
@@ -90,10 +75,7 @@ class ReplayResultBuilder : public TraceConsumer {
   bool complete_ = false;
   RunResult result_;
 
-  std::vector<SlotMirror> slots_;
-  /// Mirrors Cluster::reserved_idle_by_job_ (accumulation order preserved:
-  /// the same accrue calls happen at the same event points).
-  std::unordered_map<JobId, double> reserved_idle_by_job_;
+  SlotModel slots_;
   std::map<JobId, JobMirror> jobs_;
   std::map<JobId, JobTaskStats> task_stats_;
   RecoveryStats recovery_;

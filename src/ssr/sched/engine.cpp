@@ -9,6 +9,25 @@
 
 namespace ssr {
 
+bool ReservationHook::approve(const Engine& engine, SlotId slot, JobId job,
+                              int priority) const {
+  const Slot& s = engine.cluster().slot(slot);
+  switch (s.state()) {
+    case SlotState::Idle:
+      return true;
+    case SlotState::ReservedIdle: {
+      // Algorithm 1, TryAllocateTask: skip unless the requester is the
+      // reserving job itself or has a strictly higher priority.
+      const Reservation& r = *s.reservation();
+      return r.job == job || priority > r.priority;
+    }
+    case SlotState::Busy:
+    case SlotState::Dead:
+      return false;
+  }
+  return false;
+}
+
 bool NullReservationHook::approve(const Engine& engine, SlotId slot, JobId,
                                   int) const {
   return engine.cluster().slot(slot).state() == SlotState::Idle;

@@ -123,23 +123,6 @@ void TableDrivenHook::on_slot_failed(Engine& engine, SlotId slot) {
   if (held_.erase(slot) > 0) replenish(engine);
 }
 
-bool TableDrivenHook::approve(const Engine& engine, SlotId slot, JobId job,
-                              int priority) const {
-  const Slot& s = engine.cluster().slot(slot);
-  switch (s.state()) {
-    case SlotState::Idle:
-      return true;
-    case SlotState::ReservedIdle: {
-      const Reservation& r = *s.reservation();
-      return r.job == job || priority > r.priority;
-    }
-    case SlotState::Busy:
-    case SlotState::Dead:
-      return false;
-  }
-  return false;
-}
-
 void TableDrivenHook::on_stage_submitted(Engine& engine, StageId) {
   // First chance to establish the timetable once work exists.
   replenish(engine);

@@ -172,12 +172,17 @@ class ReservationHook {
   /// Must have no side effects: which stages an offer probes, and how often,
   /// is the engine's business (its precedence-ordered walk stops at the
   /// first stage that accepts, so it asks fewer stages than a full scan).
+  /// The default is Algorithm 1's rule, which every SSR policy hook shares:
+  /// an Idle slot, or a ReservedIdle one when `job` holds the reservation or
+  /// `priority` strictly exceeds the reservation's.
   virtual bool approve(const Engine& engine, SlotId slot, JobId job,
-                       int priority) const = 0;
+                       int priority) const;
 
   /// Declares approve()'s behaviour on ReservedIdle slots so the engine can
   /// enumerate candidates from incremental indexes.  Override ONLY if
   /// approve() exactly matches the declared model; Custom is always safe.
+  /// A hook that inherits approve() may declare PriorityOverride; one that
+  /// overrides approve() must check that its body still matches.
   virtual ReservedApprovalModel reserved_approval_model() const {
     return ReservedApprovalModel::Custom;
   }

@@ -25,11 +25,10 @@
 #include "ssr/common/ids.h"
 #include "ssr/common/resources.h"
 #include "ssr/common/time.h"
+#include "ssr/sim/slot_model.h"
 #include "ssr/sim/slot_set.h"
 
 namespace ssr {
-
-enum class SlotState { Idle, Busy, ReservedIdle, Dead };
 
 /// A reservation held on a ReservedIdle slot (Algorithm 1 of the paper).
 struct Reservation {

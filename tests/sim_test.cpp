@@ -9,6 +9,7 @@
 #include "ssr/common/rng.h"
 #include "ssr/sim/cluster.h"
 #include "ssr/sim/simulator.h"
+#include "ssr/sim/slot_model.h"
 #include "ssr/sim/slot_set.h"
 
 namespace ssr {
@@ -321,6 +322,92 @@ TEST(SlotSet, RandomOpsMatchSortedModel) {
         ASSERT_EQ(set.empty(), model.empty());
         ASSERT_EQ(ids(set), std::vector<SlotId>(model.begin(), model.end()));
       }
+    }
+  }
+}
+
+TEST(SlotModel, RandomTransitionsMatchCluster) {
+  // The event-stream consumers' slot model must accrue exactly what the
+  // Cluster accrues when both see the same legal transitions: the RunResult
+  // fold and the audit compare the two with ==.
+  constexpr std::uint32_t kSlots = 6;
+  // Owners include a hook sentinel id near 2^32
+  // (StaticReservationHook::kClassJob).
+  const std::vector<JobId> owners = {JobId{0}, JobId{1}, JobId{2},
+                                     JobId{0xFFFFFFFFu}};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed * 104729);
+    Cluster c(3, 2);
+    SlotModel m(kSlots);
+    std::vector<SimTime> started(kSlots, 0.0);
+    SimTime now = 0.0;
+    for (std::uint32_t op = 0; op < 2000; ++op) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed << " op=" << op);
+      if (rng.bernoulli(0.7)) now += rng.uniform(0.0, 3.0);
+      const SlotId id{static_cast<std::uint32_t>(rng.uniform_int(0, 5))};
+      const bool coin = rng.bernoulli(0.5);
+      switch (c.slot(id).state()) {
+        case SlotState::Idle:
+          if (rng.bernoulli(0.1)) {  // fail
+            c.fail_slot(id, now);
+            m.to_dead(id, now);
+          } else if (coin) {  // reserve
+            Reservation r;
+            r.job = owners[rng.uniform_int(0, 3)];
+            r.priority = static_cast<int>(rng.uniform_int(0, 2));
+            r.deadline = now + 5.0;
+            c.reserve(id, r, now);
+            m.to_reserved(id, r.job, r.priority, r.deadline, now);
+          } else {  // start
+            c.start_task(id, task_of(0, 0, op), now);
+            m.to_busy(id, task_of(0, 0, op), now);
+            started[id.v] = now;
+          }
+          break;
+        case SlotState::Busy: {  // finish or kill; the move returns run time
+          if (coin) {
+            c.finish_task(id, now);
+          } else {
+            c.kill_task(id, now);
+          }
+          ASSERT_EQ(m.to_idle(id, now), now - started[id.v]);
+          break;
+        }
+        case SlotState::ReservedIdle:
+          if (coin) {  // claim
+            c.start_task(id, task_of(1, 0, op), now);
+            m.to_busy(id, task_of(1, 0, op), now);
+            started[id.v] = now;
+          } else {  // release
+            c.release_reservation(id, now);
+            m.to_idle(id, now);
+          }
+          break;
+        case SlotState::Dead:  // recover
+          c.recover_slot(id, now);
+          m.to_idle(id, now);
+          break;
+      }
+      ASSERT_EQ(m.at(id).state, c.slot(id).state());
+    }
+    now += 1.0;
+    c.settle(now);
+    m.settle(now);
+    for (std::uint32_t i = 0; i < kSlots; ++i) {
+      const Slot& s = c.slot(SlotId{i});
+      EXPECT_EQ(m.at(SlotId{i}).busy, s.busy_time()) << "slot" << i;
+      EXPECT_EQ(m.at(SlotId{i}).reserved_idle, s.reserved_idle_time())
+          << "slot" << i;
+      EXPECT_EQ(m.at(SlotId{i}).dead, s.dead_time()) << "slot" << i;
+    }
+    EXPECT_EQ(m.total_busy(), c.total_busy_time());
+    EXPECT_EQ(m.total_reserved_idle(), c.total_reserved_idle_time());
+    EXPECT_EQ(m.total_dead(), c.total_dead_time());
+    EXPECT_GT(c.total_dead_time(), 0.0);
+    for (const JobId owner : owners) {
+      EXPECT_EQ(m.reserved_idle_of(owner), c.reserved_idle_time_of(owner))
+          << owner;
+      EXPECT_GT(c.reserved_idle_time_of(owner), 0.0) << owner;
     }
   }
 }

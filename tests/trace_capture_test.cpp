@@ -528,6 +528,34 @@ TEST(TraceCaptureRejection, AttemptEndingOnAnotherSlotIsRejected) {
   }
 }
 
+TEST(TraceCaptureRejection, SlotBeyondTheHeaderFailsTheReplayAudit) {
+  // Well-formed bytes naming a slot the header does not declare.  The replay
+  // audit alone must refuse it with a CheckError naming the slot, as the
+  // RunResult fold does, not let a container's range error escape.
+  TraceHeader header;
+  header.num_nodes = 1;
+  header.num_slots = 2;
+  const StageId stage{JobId{0}, 0};
+  std::vector<TraceEvent> events(3);
+  events[0].kind = TraceEventKind::kJobSubmitted;
+  events[0].job_name = "j";
+  events[1].kind = TraceEventKind::kStageSubmitted;
+  events[1].stage = stage;
+  events[2].kind = TraceEventKind::kTaskStarted;
+  events[2].task = TaskId{stage, 0, 0};
+  events[2].slot = SlotId{5};
+  const TraceReplayer replayer =
+      TraceReplayer::from_bytes(serialize_trace(header, events));
+  audit::ReplayAuditor auditor;
+  try {
+    replayer.replay({&auditor});
+    FAIL() << "a start on a slot the header does not declare was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("slot5"), std::string::npos)
+        << e.what();
+  }
+}
+
 // Overwrite the little-endian integer of `width` bytes at `at`.
 void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int width) {
   for (int i = 0; i < width; ++i) {

@@ -3,9 +3,8 @@
 # runs exactly this script, so a green local run means a green CI lane.
 #
 #   tools/run_checks.sh            # lint + analyze + fixture self-tests
-#   tools/run_checks.sh --tidy     # additionally clang-tidy (needs a
-#                                  # compile_commands.json build dir and
-#                                  # clang-tidy on PATH)
+#   tools/run_checks.sh --tidy     # additionally a clang-tidy build
+#                                  # (needs clang-tidy on PATH)
 #
 # Steps:
 #   1. ssr_lint.py     — textual conventions (no-assert, pragma-once,
@@ -16,12 +15,7 @@
 #   3. fixture suites  — the analyzer/linter/bench-gate self-tests
 #                        (tests/analyze/), so a broken rule cannot pass
 #                        silently.
-#   4. clang frontend  — if python clang bindings are importable (CI pins
-#                        `pip install libclang==14.0.6`), re-run the
-#                        analyzer with --frontend=clang over
-#                        compile_commands.json as a cross-check of the
-#                        canonical python frontend.  Skipped otherwise.
-#   5. clang-tidy      — only with --tidy; optional everywhere.
+#   4. clang-tidy      — only with --tidy; optional everywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,7 +28,7 @@ TIDY=0
 echo "==> ssr_lint"
 "$PYTHON" tools/ssr_lint.py
 
-echo "==> ssr_analyze (python frontend, baseline gate)"
+echo "==> ssr_analyze (baseline gate)"
 "$PYTHON" tools/ssr_analyze.py \
     --baseline tools/ssr_analyze_baseline.json \
     src tools bench examples tests
@@ -43,21 +37,6 @@ echo "==> toolchain fixture self-tests"
 (cd tests && "$PYTHON" -m unittest \
     analyze.test_ssr_analyze analyze.test_ssr_lint \
     analyze.test_check_bench_regression)
-
-if "$PYTHON" -c 'import clang.cindex' 2>/dev/null; then
-  echo "==> ssr_analyze (clang frontend cross-check)"
-  CC_JSON="$BUILD_DIR/compile_commands.json"
-  if [[ -f "$CC_JSON" ]]; then
-    "$PYTHON" tools/ssr_analyze.py --frontend=clang \
-        --compile-commands "$CC_JSON" \
-        --baseline tools/ssr_analyze_baseline.json \
-        src tools bench examples
-  else
-    echo "    (no $CC_JSON; configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)"
-  fi
-else
-  echo "==> clang frontend cross-check skipped (no python clang bindings)"
-fi
 
 if [[ "$TIDY" == 1 ]]; then
   echo "==> clang-tidy build"

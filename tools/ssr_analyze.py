@@ -57,12 +57,6 @@ itself a finding (stale-suppression), so annotations cannot rot.
 
 Findings already recorded in the committed baseline file do not fail the run;
 anything new does.  Exit status: 0 clean, 1 new findings, 2 usage error.
-
-Frontends: the built-in pure-python structural frontend is canonical — it is
-hermetic, deterministic, and what CI gates on.  With python clang bindings
-installed (CI pins `pip install libclang==14.0.6`), `--frontend=clang` lowers
-libclang cursors over compile_commands.json into the same IR as a cross-check
-that the structural parse agrees with a real compiler frontend.
 """
 
 from __future__ import annotations
@@ -323,7 +317,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# Structural parser (the canonical pure-python frontend)
+# Structural parser (pure python, stdlib only)
 # --------------------------------------------------------------------------
 
 _KEYWORDS = {
@@ -1225,10 +1219,6 @@ def rule_nondet_iteration(program: Program):
             sites += [(il.base, il.line) for il in m.iter_loops]
             for expr, line in sites:
                 ts = program.resolve_expr_type(expr, m, owner)
-                if not ts and len(expr) == 1 and "unordered_" in expr[0].value:
-                    # clang-frontend lowering stores the resolved type
-                    # spelling directly in the token.
-                    ts = expr[0].value
                 canon = program.canon_type(ts) if ts else ""
                 if any(u in canon for u in _UNORDERED):
                     why = ("sits on the StageSelector dispatch path"
@@ -1620,119 +1610,6 @@ RULE_FUNCS = {
 
 
 # --------------------------------------------------------------------------
-# Optional libclang frontend (CI cross-check; pinned pip install there)
-# --------------------------------------------------------------------------
-
-def try_import_clang():
-    try:
-        from clang import cindex  # type: ignore
-        return cindex
-    except Exception:
-        return None
-
-
-def parse_with_clang(cindex, path: Path, rel: str, text: str,
-                     compile_args: list[str]) -> FileIR:
-    """Lower a libclang translation unit into the same FileIR the structural
-    parser produces, so the rule set runs unchanged."""
-    index = cindex.Index.create()
-    tu = index.parse(str(path), args=compile_args)
-    ir = FileIR(path=path, rel=rel, lines=text.splitlines(), allows={},
-                enums={})
-    for lineno, raw in enumerate(ir.lines, start=1):
-        m = ALLOW_RE.search(raw)
-        if m:
-            ir.allows.setdefault(lineno, set()).add(m.group(1))
-    K = cindex.CursorKind
-
-    def in_file(cur):
-        return cur.location.file and \
-            Path(str(cur.location.file)) == path
-
-    def visit(cur, cls_info):
-        for ch in cur.get_children():
-            kind = ch.kind
-            if kind in (K.NAMESPACE,):
-                visit(ch, cls_info)
-            elif kind in (K.CLASS_DECL, K.STRUCT_DECL) and ch.is_definition():
-                if not in_file(ch):
-                    continue
-                ci = ClassInfo(name=ch.spelling, line=ch.location.line,
-                               path=rel)
-                for base in ch.get_children():
-                    if base.kind == K.CXX_BASE_SPECIFIER:
-                        ci.bases.append(base.type.spelling.split("::")[-1])
-                ir.classes.append(ci)
-                visit(ch, ci)
-            elif kind == K.FIELD_DECL and cls_info is not None:
-                cls_info.fields.append(VarDecl(
-                    name=ch.spelling, type_str=ch.type.spelling,
-                    line=ch.location.line))
-            elif kind == K.ENUM_DECL and ch.is_definition():
-                vals = [e.spelling for e in ch.get_children()
-                        if e.kind == K.ENUM_CONSTANT_DECL]
-                target = cls_info.enums if cls_info is not None else ir.enums
-                target[ch.spelling] = vals
-            elif kind in (K.CXX_METHOD, K.FUNCTION_DECL, K.CONSTRUCTOR,
-                          K.DESTRUCTOR):
-                if not in_file(ch):
-                    continue
-                m = Method(
-                    name=ch.spelling,
-                    cls=(ch.semantic_parent.spelling
-                         if ch.semantic_parent is not None and
-                         ch.semantic_parent.kind in (K.CLASS_DECL,
-                                                     K.STRUCT_DECL) else ""),
-                    line=ch.location.line,
-                    return_type=ch.result_type.spelling,
-                    is_virtual=ch.is_virtual_method()
-                    if kind == K.CXX_METHOD else False,
-                    is_ctor=kind == K.CONSTRUCTOR,
-                    is_dtor=kind == K.DESTRUCTOR,
-                    path=rel)
-                for arg in ch.get_arguments():
-                    m.params.append(VarDecl(name=arg.spelling,
-                                            type_str=arg.type.spelling,
-                                            line=arg.location.line))
-                body = [c for c in ch.get_children()
-                        if c.kind == K.COMPOUND_STMT]
-                if body:
-                    m.has_body = True
-                    lower_body(body[0], m)
-                if cls_info is not None and m.cls == cls_info.name:
-                    cls_info.methods.append(m)
-                ir.functions.append(m)
-
-    def lower_body(node, m: Method):
-        for ch in node.walk_preorder():
-            kind = ch.kind
-            if kind == K.VAR_DECL:
-                m.locals.append(VarDecl(name=ch.spelling,
-                                        type_str=ch.type.spelling,
-                                        line=ch.location.line))
-            elif kind == K.CXX_FOR_RANGE_STMT:
-                kids = list(ch.get_children())
-                if len(kids) >= 2:
-                    rng = kids[-2]
-                    m.range_fors.append(RangeFor(
-                        expr=[Token("id", rng.type.spelling,
-                                    ch.location.line)],
-                        line=ch.location.line))
-            elif kind == K.CALL_EXPR:
-                m.calls.append(Call(name=ch.spelling or "",
-                                    recv=[], line=ch.location.line))
-            elif kind == K.CXX_NEW_EXPR:
-                m.new_lines.append(ch.location.line)
-            elif kind == K.MEMBER_REF_EXPR:
-                m.field_accesses.append(FieldAccess(
-                    name=ch.spelling, line=ch.location.line,
-                    guarded_by=frozenset()))
-
-    visit(tu.cursor, None)
-    return ir
-
-
-# --------------------------------------------------------------------------
 # Driver: collection, suppression, baseline, reporting
 # --------------------------------------------------------------------------
 
@@ -1755,37 +1632,6 @@ def collect_files(paths, root: Path):
             print(f"ssr_analyze: no such path: {arg}", file=sys.stderr)
             sys.exit(2)
     return files
-
-
-def load_compile_commands(path: Path):
-    """File list (and per-file args for the clang frontend) from
-    compile_commands.json."""
-    entries = json.loads(path.read_text(encoding="utf-8"))
-    args_by_file = {}
-    for e in entries:
-        src = Path(e["directory"]) / e["file"] if not Path(
-            e["file"]).is_absolute() else Path(e["file"])
-        src = src.resolve()
-        if "arguments" in e:
-            args = e["arguments"]
-        else:
-            args = e.get("command", "").split()
-        keep = []
-        it = iter(range(len(args)))
-        skip_next = False
-        for k, a in enumerate(args):
-            if skip_next:
-                skip_next = False
-                continue
-            if a.startswith(("-I", "-D", "-std", "-isystem")):
-                keep.append(a)
-                if a in ("-isystem",):
-                    skip_next = True
-            elif a == "-include":
-                keep.append(a)
-                skip_next = True
-        args_by_file[src] = keep
-    return args_by_file
 
 
 def finding_key(f: Finding, file_lines: dict) -> str:
@@ -1858,13 +1704,6 @@ def main() -> int:
                         "there fail the run")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline to the current findings")
-    parser.add_argument("--frontend", choices=["python", "clang", "auto"],
-                        default="python",
-                        help="python (canonical, hermetic; default), clang "
-                        "(libclang over compile_commands.json), auto")
-    parser.add_argument("--compile-commands", metavar="PATH",
-                        help="compile_commands.json (required for --frontend "
-                        "clang; also narrows the file set)")
     parser.add_argument("--root", metavar="DIR", default=".",
                         help="project root for relative paths (default .)")
     parser.add_argument("--rules", metavar="R1,R2",
@@ -1882,30 +1721,6 @@ def main() -> int:
         print("ssr_analyze: no input files", file=sys.stderr)
         return 2
 
-    cc_args = {}
-    if args.compile_commands:
-        cc_path = Path(args.compile_commands)
-        if not cc_path.is_file():
-            print(f"ssr_analyze: no such compile_commands: {cc_path}",
-                  file=sys.stderr)
-            return 2
-        cc_args = load_compile_commands(cc_path)
-
-    frontend = args.frontend
-    cindex = None
-    if frontend in ("clang", "auto"):
-        cindex = try_import_clang()
-        if cindex is None:
-            if frontend == "clang":
-                print("ssr_analyze: --frontend=clang requested but python "
-                      "clang bindings/libclang are unavailable (CI pins "
-                      "`pip install libclang==14.0.6`); falling back is "
-                      "disabled for an explicit request", file=sys.stderr)
-                return 2
-            frontend = "python"
-        else:
-            frontend = "clang"
-
     irs = []
     parsers = []
     for f in files:
@@ -1914,14 +1729,9 @@ def main() -> int:
         except ValueError:
             rel = f.as_posix()
         text = f.read_text(encoding="utf-8", errors="replace")
-        if frontend == "clang" and f.suffix not in (".h", ".hpp"):
-            irs.append(parse_with_clang(
-                cindex, f.resolve(), rel, text,
-                cc_args.get(f.resolve(), ["-std=c++20"])))
-        else:
-            p = FileParser(f, rel, text)
-            irs.append(p.parse())
-            parsers.append(p)
+        p = FileParser(f, rel, text)
+        irs.append(p.parse())
+        parsers.append(p)
     # Second phase: parse bodies now that every class in the analysis set is
     # known (out-of-line .cpp methods need their header's field list).
     class_index = {}
@@ -1996,7 +1806,6 @@ def main() -> int:
     if args.json:
         doc = {
             "schema": "ssr-analyze-v1",
-            "frontend": frontend,
             "files": len(files),
             "findings": [
                 {"file": f.rel, "line": f.line, "rule": f.rule,
@@ -2010,7 +1819,7 @@ def main() -> int:
         else:
             Path(args.json).write_text(payload, encoding="utf-8")
 
-    print(f"ssr_analyze: {len(files)} files ({frontend} frontend), "
+    print(f"ssr_analyze: {len(files)} files, "
           f"{len(new_findings)} new finding(s), "
           f"{len(old_findings)} baselined", file=sys.stderr)
     return 1 if new_findings else 0
