@@ -42,21 +42,17 @@ void BM_ClusterTaskTransitions(benchmark::State& state) {
   double now = 0.0;
   std::uint32_t round = 0;
   for (auto _ : state) {
-    // A full job generation per round: every slot runs a distinct task of
-    // the round's job, finishes it (recording the resident output), and the
-    // job is torn down — the same start/finish/forget cycle the engine
-    // drives, so the resident-output bookkeeping stays on the measured path
-    // without growing without bound.
+    // A full job generation per round: every slot starts a distinct task of
+    // the round's job, then ends it.
     const JobId job{round++};
     for (std::uint32_t s = 0; s < cluster.num_slots(); ++s) {
       cluster.start_task(SlotId{s}, TaskId{StageId{job, 0}, s, 0}, now);
     }
     now += 1.0;
     for (std::uint32_t s = 0; s < cluster.num_slots(); ++s) {
-      cluster.finish_task(SlotId{s}, now);
+      cluster.end_task(SlotId{s}, now);
     }
     now += 1.0;
-    cluster.forget_job_outputs(job);
   }
   state.SetItemsProcessed(state.iterations() * cluster.num_slots() * 2);
 }

@@ -26,7 +26,7 @@ SlotLedger& ReplayAuditor::ledger() {
 }
 
 void ReplayAuditor::on_trace_event(const TraceEvent& e) {
-  SlotLedger& lg = *ledger_;
+  SlotLedger& lg = ledger();
   switch (e.kind) {
     case TraceEventKind::kJobSubmitted:
       priority_[e.job] = e.priority;

@@ -264,7 +264,6 @@ void Engine::finish_job(JobId job) {
   JobState& js = state(job);
   js.finish_time = sim_.now();
   hook_->on_job_finished(*this, job);  // releases the job's reservations
-  cluster_.forget_job_outputs(job);
   for (StageRecord& record : js.stages) record.output_slots = {};
   for (EngineObserver* o : observers_) o->on_job_finished(*this, job);
 }
@@ -639,7 +638,7 @@ void Engine::handle_completion(StageId stage_id, TaskId task,
   stage->mark_finished(*attempt, sim_.now());
   --js.running_tasks;
   rekey_fair_share(js);
-  cluster_.finish_task(attempt->slot, sim_.now());
+  cluster_.end_task(attempt->slot, sim_.now());
   js.stages[stage_id.index].output_slots.push_back(attempt->slot);
   // Observers must see the finish before the twin kill and before the hook
   // (which may immediately reserve the freed slot) — same ordering rule as
@@ -669,7 +668,7 @@ void Engine::handle_completion(StageId stage_id, TaskId task,
 
 void Engine::kill_attempt(StageRuntime& stage, TaskAttempt& attempt) {
   JobState& js = state(stage.id().job);
-  cluster_.kill_task(attempt.slot, sim_.now());
+  cluster_.end_task(attempt.slot, sim_.now());
   stage.mark_killed(attempt, sim_.now());
   --js.running_tasks;
   rekey_fair_share(js);
@@ -775,7 +774,7 @@ void Engine::fail_slot_impl(SlotId slot, std::vector<StageRuntime*>& to_place) {
     SSR_CHECK_MSG(attempt != nullptr && attempt->state == AttemptState::Running,
                   "busy slot without a running attempt");
     JobState& js = state(tid.stage.job);
-    cluster_.kill_task(slot, sim_.now());
+    cluster_.end_task(slot, sim_.now());
     stage->mark_killed(*attempt, sim_.now());
     --js.running_tasks;
     rekey_fair_share(js);
@@ -824,53 +823,60 @@ void Engine::fail_slot_impl(SlotId slot, std::vector<StageRuntime*>& to_place) {
 
 void Engine::invalidate_outputs(SlotId slot,
                                 std::vector<StageRuntime*>& to_place) {
-  for (StageId sid : cluster_.take_resident_outputs(slot)) {
-    JobState& js = state(sid.job);
-    if (js.finish_time >= 0.0) continue;  // job done; nobody reads the data
-    // The locality index forgets the dead slot whether or not a re-run is
-    // needed — child stages must stop preferring it.
-    std::erase(js.stages[sid.index].output_slots, slot);
-    StageRuntime* stage = js.stages[sid.index].runtime;
-    SSR_CHECK_MSG(stage != nullptr, "resident output of unsubmitted stage");
-    // Re-run lost producers only while some dependent stage still needs the
-    // data: a child not yet submitted, or submitted but not complete.
-    bool needed = false;
-    for (std::uint32_t child : js.graph.children(sid.index)) {
-      const StageRuntime* c = js.stages[child].runtime;
-      if (c == nullptr || !c->complete()) {
-        needed = true;
-        break;
+  // Visit every stage whose output lived on the slot, in ascending (job,
+  // stage) order.  Finished jobs are skipped: nobody reads their data, and
+  // finish_job already cleared their output slots.
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    JobState& js = jobs_[j];
+    if (js.finish_time >= 0.0) continue;
+    for (std::uint32_t index = 0; index < js.stages.size(); ++index) {
+      // The locality index forgets the dead slot whether or not a re-run is
+      // needed — child stages must stop preferring it.
+      if (std::erase(js.stages[index].output_slots, slot) == 0) continue;
+      StageRuntime* stage = js.stages[index].runtime;
+      SSR_CHECK_MSG(stage != nullptr, "output slots of an unsubmitted stage");
+      // Re-run lost producers only while some dependent stage still needs
+      // the data: a child not yet submitted, or submitted but not complete.
+      bool needed = false;
+      for (std::uint32_t child : js.graph.children(index)) {
+        const StageRuntime* c = js.stages[child].runtime;
+        if (c == nullptr || !c->complete()) {
+          needed = true;
+          break;
+        }
       }
-    }
-    if (!needed) continue;
+      if (!needed) continue;
 
-    std::vector<std::uint32_t> lost;
-    for (std::uint32_t i = 0; i < stage->parallelism(); ++i) {
-      const TaskAttempt* fin = stage->finished_attempt(i);
-      if (fin != nullptr && fin->slot == slot) lost.push_back(i);
-    }
-    if (lost.empty()) continue;
-
-    const bool was_complete = stage->complete();
-    for (std::uint32_t i : lost) {
-      const TaskId winner = stage->finished_attempt(i)->id;
-      stage->resurrect(i);
-      for (EngineObserver* o : observers_) o->on_task_requeued(*this, winner);
-    }
-    if (was_complete) {
-      // Roll back the stage's barrier contribution; on_stage_complete will
-      // fire again when the re-runs finish.  Children already submitted keep
-      // their cleared barrier (they re-read the re-produced outputs for
-      // free in this model) — only unsubmitted ones wait again.
-      --js.finished_stages;
-      for (std::uint32_t child : js.graph.children(sid.index)) {
-        StageRecord& record = js.stages[child];
-        if (record.runtime == nullptr) ++record.unfinished_parents;
+      std::vector<std::uint32_t> lost;
+      for (std::uint32_t i = 0; i < stage->parallelism(); ++i) {
+        const TaskAttempt* fin = stage->finished_attempt(i);
+        if (fin != nullptr && fin->slot == slot) lost.push_back(i);
       }
-      for (EngineObserver* o : observers_) o->on_stage_invalidated(*this, sid);
+      if (lost.empty()) continue;
+
+      const bool was_complete = stage->complete();
+      for (std::uint32_t i : lost) {
+        const TaskId winner = stage->finished_attempt(i)->id;
+        stage->resurrect(i);
+        for (EngineObserver* o : observers_) o->on_task_requeued(*this, winner);
+      }
+      if (was_complete) {
+        // Roll back the stage's barrier contribution; on_stage_complete will
+        // fire again when the re-runs finish.  Children already submitted
+        // keep their cleared barrier (they re-read the re-produced outputs
+        // for free in this model) — only unsubmitted ones wait again.
+        --js.finished_stages;
+        for (std::uint32_t child : js.graph.children(index)) {
+          StageRecord& record = js.stages[child];
+          if (record.runtime == nullptr) ++record.unfinished_parents;
+        }
+        for (EngineObserver* o : observers_) {
+          o->on_stage_invalidated(*this, stage->id());
+        }
+      }
+      ensure_active(*stage);
+      to_place.push_back(stage);
     }
-    ensure_active(*stage);
-    to_place.push_back(stage);
   }
 }
 

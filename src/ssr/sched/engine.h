@@ -232,9 +232,10 @@ class Engine : public FailureSink {
     StageRuntime* runtime = nullptr;
     /// Number of parent stages not yet finished.
     std::uint32_t unfinished_parents = 0;
-    /// Slots on which the stage's tasks completed (the locality index
-    /// consumed by child-stage submission).  Job-local, so teardown is
-    /// proportional to the job, not to all jobs ever run.
+    /// Slots on which the stage's tasks completed: the one record of where
+    /// its output lives.  Child-stage submission reads it as the locality
+    /// preference, and a slot failure as the outputs it lost.  Job-local,
+    /// so teardown is proportional to the job, not to all jobs ever run.
     std::vector<SlotId> output_slots;
     /// The stage's entry in the active-stage index, or its end() while the
     /// stage is not active.
@@ -302,7 +303,9 @@ class Engine : public FailureSink {
   /// slot before any re-placement).
   void fail_slot_impl(SlotId slot, std::vector<StageRuntime*>& to_place);
   void recover_slot_impl(SlotId slot);
-  /// Resurrect finished tasks whose outputs were resident on `slot`.
+  /// Drop `slot` from every unfinished job's output slots, and resurrect
+  /// the finished tasks whose outputs lived there while a child stage
+  /// still needs them.
   void invalidate_outputs(SlotId slot, std::vector<StageRuntime*>& to_place);
   /// Re-insert a stage into the active-stage index if it is not there.
   void ensure_active(StageRuntime& stage);

@@ -136,7 +136,7 @@ enum class ReservedApprovalModel {
 /// default (no reservations, plain work conservation) is used otherwise.
 ///
 /// Call ordering contract, per event:
-///   task completes -> Cluster::finish_task (slot now Idle)
+///   task completes -> Cluster::end_task (slot now Idle)
 ///                  -> hook.on_task_finished (may reserve the slot)
 ///                  -> barrier bookkeeping (stage/job completion)
 ///                  -> the slot, if still idle, is offered to task sets.

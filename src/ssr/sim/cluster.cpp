@@ -1,7 +1,6 @@
 #include "ssr/sim/cluster.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace ssr {
 
@@ -125,30 +124,7 @@ void Cluster::start_task(SlotId id, TaskId task, SimTime now) {
   s.running_task_ = task;
 }
 
-void Cluster::finish_task(SlotId id, SimTime now) {
-  Slot& s = mutable_slot(id);
-  SSR_CHECK_MSG(s.state_ == SlotState::Busy, "no task running on slot");
-  accrue(s, now);
-  const StageId finished = s.running_task_->stage;
-  const std::pair<std::uint32_t, std::uint32_t> key{finished.job.v,
-                                                    finished.index};
-  auto res_it = std::lower_bound(s.resident_outputs_.begin(),
-                                 s.resident_outputs_.end(), key);
-  if (res_it == s.resident_outputs_.end() || *res_it != key) {
-    s.resident_outputs_.insert(res_it, key);
-  }
-  if (finished.job.v >= output_slots_of_job_.size()) {
-    output_slots_of_job_.resize(finished.job.v + 1);
-  }
-  std::vector<SlotId>& outs = output_slots_of_job_[finished.job.v];
-  auto out_it = std::lower_bound(outs.begin(), outs.end(), id);
-  if (out_it == outs.end() || *out_it != id) outs.insert(out_it, id);
-  s.running_task_.reset();
-  s.state_ = SlotState::Idle;
-  idle_.insert(id);
-}
-
-void Cluster::kill_task(SlotId id, SimTime now) {
+void Cluster::end_task(SlotId id, SimTime now) {
   Slot& s = mutable_slot(id);
   SSR_CHECK_MSG(s.state_ == SlotState::Busy, "no task running on slot");
   accrue(s, now);
@@ -205,38 +181,6 @@ void Cluster::recover_slot(SlotId id, SimTime now) {
   accrue(s, now);
   s.state_ = SlotState::Idle;
   idle_.insert(id);
-}
-
-void Cluster::forget_job_outputs(JobId job) {
-  if (job.v >= output_slots_of_job_.size()) return;
-  std::vector<SlotId>& outs = output_slots_of_job_[job.v];
-  for (SlotId id : outs) {
-    // Ranged erase of the job's contiguous run in the sorted per-slot
-    // vector.  Job ids are dense and well below 2^32, so job.v + 1 is safe.
-    auto& res = mutable_slot(id).resident_outputs_;
-    auto lo = std::lower_bound(res.begin(), res.end(), std::pair{job.v, 0u});
-    auto hi =
-        std::lower_bound(lo, res.end(), std::pair{job.v + 1, 0u});
-    res.erase(lo, hi);
-  }
-  outs.clear();
-  outs.shrink_to_fit();  // keep memory bounded by live jobs, as the map was
-}
-
-std::vector<StageId> Cluster::take_resident_outputs(SlotId id) {
-  Slot& s = mutable_slot(id);
-  std::vector<StageId> lost;
-  lost.reserve(s.resident_outputs_.size());
-  for (const auto& [job_raw, index] : s.resident_outputs_) {
-    lost.push_back(StageId{JobId{job_raw}, index});
-    std::vector<SlotId>& outs = output_slots_of_job_[job_raw];
-    auto it = std::lower_bound(outs.begin(), outs.end(), id);
-    if (it != outs.end() && *it == id) outs.erase(it);
-  }
-  s.resident_outputs_.clear();
-  // The per-slot vector is sorted by (job, index), which is exactly StageId
-  // order, so failure handling visits producer stages deterministically.
-  return lost;
 }
 
 void Cluster::settle(SimTime now) {

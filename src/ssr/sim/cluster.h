@@ -1,7 +1,7 @@
-// Cluster model: nodes, compute slots, slot state machine, and the
-// bookkeeping that the paper's mechanism rests on — which stage outputs are
-// resident on which slot (data locality / warm executor) and how much time
-// each slot spends busy versus reserved-but-idle (utilization accounting).
+// Cluster model: nodes, compute slots, the slot state machine, reservations,
+// and how much time each slot spends busy versus reserved-but-idle
+// (utilization accounting).  Where stage outputs live (data locality) is the
+// engine's record, StageRecord::output_slots, not the cluster's.
 //
 // The model corresponds to the paper's Spark deployment: each node hosts a
 // fixed number of executors ("slots"); one slot runs one task at a time.  A
@@ -9,16 +9,14 @@
 // introduced by speculative slot reservation: the slot is empty but withheld
 // from jobs whose priority does not exceed the reservation's.  Dead models a
 // failed executor/machine (the fault-injection layer): the slot holds no
-// task, no reservation, and no resident outputs, and is absent from every
-// free-slot index until it recovers.
+// task and no reservation, and is absent from every free-slot index until
+// it recovers.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "ssr/common/check.h"
@@ -58,15 +56,6 @@ class Slot {
   const std::optional<Reservation>& reservation() const { return reservation_; }
   const std::optional<TaskId>& running_task() const { return running_task_; }
 
-  /// True if the output data of `stage` is resident on this slot, i.e. a
-  /// task of `stage` completed here.  Downstream tasks scheduled on such a
-  /// slot run at full speed; elsewhere they pay the locality penalty.
-  bool has_output(StageId stage) const {
-    return std::binary_search(resident_outputs_.begin(),
-                              resident_outputs_.end(),
-                              std::pair{stage.job.v, stage.index});
-  }
-
   double busy_time() const { return busy_time_; }
   double reserved_idle_time() const { return reserved_idle_time_; }
   double dead_time() const { return dead_time_; }
@@ -80,12 +69,6 @@ class Slot {
   SlotState state_ = SlotState::Idle;
   std::optional<Reservation> reservation_;
   std::optional<TaskId> running_task_;
-  /// Resident stage outputs as a sorted, unique (job raw id, stage index)
-  /// vector.  A slot holds a handful of entries at any time, so the dense
-  /// layout beats the former per-job hash-map-of-hash-sets on every
-  /// operation (binary-search lookup, ranged erase per finished job) and,
-  /// unlike it, iterates in deterministic order for free.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> resident_outputs_;
 
   SimTime state_since_ = kTimeZero;
   double busy_time_ = 0.0;
@@ -162,12 +145,9 @@ class Cluster {
   /// legal; the cluster only records the transition).
   void start_task(SlotId id, TaskId task, SimTime now);
 
-  /// Busy -> Idle; records the completed task's stage output as resident.
-  void finish_task(SlotId id, SimTime now);
-
-  /// Busy -> Idle without recording output (straggler copy or original that
-  /// lost the race and was killed mid-flight).
-  void kill_task(SlotId id, SimTime now);
+  /// Busy -> Idle, whether the task finished, lost a straggler race, or is
+  /// being drained off a failing slot.
+  void end_task(SlotId id, SimTime now);
 
   /// Idle -> ReservedIdle.  Returns the generation token the expiry event
   /// must present to release_if_current().
@@ -184,18 +164,9 @@ class Cluster {
   /// slot first: running tasks killed, reservations released.
   void fail_slot(SlotId id, SimTime now);
 
-  /// Dead -> Idle.  The slot returns empty and cold (its resident outputs
-  /// were taken at failure time).
+  /// Dead -> Idle.  The slot returns empty and cold (the engine dropped it
+  /// from every stage's output slots when it failed).
   void recover_slot(SlotId id, SimTime now);
-
-  /// Drop all resident outputs belonging to `job` (job finished; its data is
-  /// no longer useful and the sets would otherwise grow without bound).
-  void forget_job_outputs(JobId job);
-
-  /// Remove and return every stage whose output was resident on `id`, in
-  /// ascending (job, index) order.  Failure handling uses the result to
-  /// decide which producer stages must re-run.
-  std::vector<StageId> take_resident_outputs(SlotId id);
 
   // --- Accounting ---------------------------------------------------------
 
@@ -250,11 +221,6 @@ class Cluster {
   /// allocates only when a job's list outgrows its capacity.
   std::vector<JobReservations> by_job_;
   std::map<int, SlotSet> reserved_idle_by_priority_;
-  /// Slots currently holding resident outputs of each job, indexed densely
-  /// by job raw id (jobs are dense small integers); each entry is a sorted,
-  /// unique slot vector.  Makes forget_job_outputs proportional to the
-  /// job's footprint with no hashing on the completion hot path.
-  std::vector<std::vector<SlotId>> output_slots_of_job_;
   /// Distinct slot capacities (fixed at construction).
   std::vector<Resources> distinct_capacities_;
   std::uint64_t next_token_ = 1;

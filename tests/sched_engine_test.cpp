@@ -3,8 +3,11 @@
 // behavior the paper's Sec. II characterizes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ssr/common/check.h"
@@ -294,6 +297,95 @@ TEST(Engine, TaskStatsCountLocality) {
   EXPECT_EQ(s.tasks_finished, 4u);
   EXPECT_EQ(s.tasks_killed, 0u);
   EXPECT_EQ(s.local_starts, 4u);  // root stage counts as local
+}
+
+/// Logs the failure path's re-run decisions in firing order, and counts task
+/// starts per stage.
+class RerunLog : public EngineObserver {
+ public:
+  void on_task_requeued(const Engine&, TaskId task) override {
+    log.push_back("requeued " + name(task.stage));
+  }
+  void on_stage_invalidated(const Engine&, StageId stage) override {
+    log.push_back("invalidated " + name(stage));
+  }
+  void on_task_started(const Engine&, TaskId task, SlotId) override {
+    ++starts[task.stage];
+  }
+
+  std::vector<std::string> log;
+  std::map<StageId, int> starts;
+
+ private:
+  static std::string name(StageId s) {
+    return std::to_string(s.job.v) + "/" + std::to_string(s.index);
+  }
+};
+
+TEST(Engine, SlotFailureRerunsLostOutputsInJobStageOrder) {
+  // Slot 0 holds finished output of: done (finished at t=1); a/0, whose only
+  // child a/1 is complete; a/1, whose child a/3 still waits on a/2; and b/0,
+  // whose child b/2 still waits on b/1.  The failure at t=10 must re-run a/1
+  // then b/0 — job-major order, though b/0's stage index is lower — and
+  // leave done and a/0 alone.
+  Engine engine(quick_sched(), 1, 4, 1);
+  RerunLog rerun;
+  engine.add_observer(&rerun);
+  const SlotId failed{0};
+  const JobId done = engine.submit(JobBuilder("done")
+                                       .stage(1, fixed_duration(1.0))
+                                       .explicit_durations({1.0})
+                                       .build());
+  const JobId a = engine.submit(
+      JobBuilder("a")
+          .submit_at(2.0)
+          .stage_with_parents(1, fixed_duration(1.0), {})  // slot 0, [2, 3]
+          .explicit_durations({1.0})
+          .stage_with_parents(1, fixed_duration(1.0), {0})  // slot 0, [3, 4]
+          .explicit_durations({1.0})
+          .stage_with_parents(1, fixed_duration(1.0), {})  // slot 1, [2, 52]
+          .explicit_durations({50.0})
+          .stage_with_parents(1, fixed_duration(1.0), {1, 2})
+          .explicit_durations({1.0})
+          .build());
+  const JobId b = engine.submit(
+      JobBuilder("b")
+          .submit_at(5.0)
+          .stage_with_parents(1, fixed_duration(1.0), {})  // slot 0, [5, 6]
+          .explicit_durations({1.0})
+          .stage_with_parents(1, fixed_duration(1.0), {})  // slot 2, [5, 55]
+          .explicit_durations({50.0})
+          .stage_with_parents(1, fixed_duration(1.0), {0, 1})
+          .explicit_durations({1.0})
+          .build());
+  engine.sim().schedule_at(10.0, [&] {
+    ASSERT_TRUE(engine.job_finished(done));
+    ASSERT_EQ(engine.cluster().slot(failed).state(), SlotState::Idle);
+    // a/1 ran local to a/0's output: the locality record did hold slot 0.
+    ASSERT_EQ(engine.stage_runtime(StageId{a, 1})->preferred_slots(),
+              std::vector<SlotId>{failed});
+    ASSERT_TRUE(rerun.log.empty());
+    engine.fail_slot(failed);
+  });
+  engine.run();
+
+  EXPECT_EQ(rerun.log,
+            (std::vector<std::string>{"requeued 1/1", "invalidated 1/1",
+                                      "requeued 2/0", "invalidated 2/0"}));
+  EXPECT_EQ(rerun.starts.at(StageId{done, 0}), 1);
+  EXPECT_EQ(rerun.starts.at(StageId{a, 0}), 1);
+  EXPECT_EQ(rerun.starts.at(StageId{a, 1}), 2);
+  EXPECT_EQ(rerun.starts.at(StageId{b, 0}), 2);
+  // The children submitted after the failure prefer only live slots.
+  for (const StageId child : {StageId{a, 3}, StageId{b, 2}}) {
+    const StageRuntime* runtime = engine.stage_runtime(child);
+    ASSERT_NE(runtime, nullptr);
+    EXPECT_FALSE(runtime->preferred_slots().empty());
+    EXPECT_EQ(std::ranges::count(runtime->preferred_slots(), failed), 0)
+        << "stage " << child.job.v << "/" << child.index;
+  }
+  EXPECT_TRUE(engine.job_finished(a));
+  EXPECT_TRUE(engine.job_finished(b));
 }
 
 }  // namespace

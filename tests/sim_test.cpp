@@ -125,7 +125,7 @@ TEST(Cluster, LayoutAndInitialState) {
   EXPECT_EQ(c.slot(SlotId{5}).node(), (NodeId{2}));
 }
 
-TEST(Cluster, TaskLifecycleRecordsResidentOutput) {
+TEST(Cluster, TaskLifecycleAccruesBusyTime) {
   Cluster c(1, 2);
   const SlotId s{0};
   const TaskId t = task_of(0, 0, 0);
@@ -133,21 +133,11 @@ TEST(Cluster, TaskLifecycleRecordsResidentOutput) {
   EXPECT_EQ(c.slot(s).state(), SlotState::Busy);
   EXPECT_EQ(c.idle_slots().size(), 1u);
   EXPECT_EQ(*c.slot(s).running_task(), t);
-  c.finish_task(s, 4.0);
+  c.end_task(s, 4.0);
   EXPECT_EQ(c.slot(s).state(), SlotState::Idle);
-  EXPECT_TRUE(c.slot(s).has_output(t.stage));
+  EXPECT_FALSE(c.slot(s).running_task().has_value());
+  EXPECT_EQ(c.idle_slots().size(), 2u);
   EXPECT_DOUBLE_EQ(c.slot(s).busy_time(), 3.0);
-}
-
-TEST(Cluster, KillDoesNotRecordOutput) {
-  Cluster c(1, 1);
-  const SlotId s{0};
-  const TaskId t = task_of(0, 0, 0);
-  c.start_task(s, t, 0.0);
-  c.kill_task(s, 2.0);
-  EXPECT_EQ(c.slot(s).state(), SlotState::Idle);
-  EXPECT_FALSE(c.slot(s).has_output(t.stage));
-  EXPECT_DOUBLE_EQ(c.slot(s).busy_time(), 2.0);
 }
 
 TEST(Cluster, ReservationLifecycleAndAccounting) {
@@ -188,7 +178,7 @@ TEST(Cluster, ReleaseIfCurrentValidatesToken) {
   const std::uint64_t token = c.reserve(s, r, 0.0);
   // Consume, then re-reserve: the old token must be stale.
   c.start_task(s, task_of(1, 1, 0), 1.0);
-  c.finish_task(s, 2.0);
+  c.end_task(s, 2.0);
   const std::uint64_t token2 = c.reserve(s, r, 2.0);
   EXPECT_FALSE(c.release_if_current(s, token, 3.0));
   EXPECT_EQ(c.slot(s).state(), SlotState::ReservedIdle);
@@ -199,27 +189,13 @@ TEST(Cluster, ReleaseIfCurrentValidatesToken) {
 TEST(Cluster, IllegalTransitionsThrow) {
   Cluster c(1, 2);
   const SlotId s{0};
-  EXPECT_THROW(c.finish_task(s, 1.0), CheckError);   // not busy
-  EXPECT_THROW(c.kill_task(s, 1.0), CheckError);     // not busy
+  EXPECT_THROW(c.end_task(s, 1.0), CheckError);  // not busy
   EXPECT_THROW(c.release_reservation(s, 1.0), CheckError);  // not reserved
   c.start_task(s, task_of(0, 0, 0), 1.0);
   EXPECT_THROW(c.start_task(s, task_of(0, 0, 1), 2.0), CheckError);
   Reservation r;
   EXPECT_THROW(c.reserve(s, r, 2.0), CheckError);  // busy slots can't reserve
-  EXPECT_THROW(c.finish_task(s, 0.5), CheckError);  // time moved backwards
-}
-
-TEST(Cluster, ForgetJobOutputs) {
-  Cluster c(1, 1);
-  const SlotId s{0};
-  c.start_task(s, task_of(3, 0, 0), 0.0);
-  c.finish_task(s, 1.0);
-  c.start_task(s, task_of(4, 0, 0), 1.0);
-  c.finish_task(s, 2.0);
-  EXPECT_TRUE(c.slot(s).has_output(StageId{JobId{3}, 0}));
-  c.forget_job_outputs(JobId{3});
-  EXPECT_FALSE(c.slot(s).has_output(StageId{JobId{3}, 0}));
-  EXPECT_TRUE(c.slot(s).has_output(StageId{JobId{4}, 0}));
+  EXPECT_THROW(c.end_task(s, 0.5), CheckError);  // time moved backwards
 }
 
 TEST(Cluster, ReservedIdleIndexesTrackTransitions) {
@@ -364,15 +340,10 @@ TEST(SlotModel, RandomTransitionsMatchCluster) {
             started[id.v] = now;
           }
           break;
-        case SlotState::Busy: {  // finish or kill; the move returns run time
-          if (coin) {
-            c.finish_task(id, now);
-          } else {
-            c.kill_task(id, now);
-          }
+        case SlotState::Busy:  // end; the move returns run time
+          c.end_task(id, now);
           ASSERT_EQ(m.to_idle(id, now), now - started[id.v]);
           break;
-        }
         case SlotState::ReservedIdle:
           if (coin) {  // claim
             c.start_task(id, task_of(1, 0, op), now);
@@ -424,26 +395,12 @@ TEST(Cluster, FitsAnySlotUsesDistinctCapacities) {
   EXPECT_FALSE(hetero.fits_any_slot(Resources{2.0, 5.0}));
 }
 
-TEST(Cluster, ForgetJobOutputsOnlyVisitsOwningSlots) {
-  // Two jobs leave outputs on disjoint slots; forgetting one must not
-  // disturb the other's residency (exercises the per-job output index).
-  Cluster c(2, 2);
-  c.start_task(SlotId{0}, task_of(1, 0, 0), 0.0);
-  c.start_task(SlotId{1}, task_of(2, 0, 0), 0.0);
-  c.finish_task(SlotId{0}, 1.0);
-  c.finish_task(SlotId{1}, 1.0);
-  c.forget_job_outputs(JobId{1});
-  c.forget_job_outputs(JobId{1});  // idempotent: index entry already gone
-  EXPECT_FALSE(c.slot(SlotId{0}).has_output(StageId{JobId{1}, 0}));
-  EXPECT_TRUE(c.slot(SlotId{1}).has_output(StageId{JobId{2}, 0}));
-}
-
 TEST(Cluster, UtilizationAggregatesAcrossSlots) {
   Cluster c(1, 2);
   c.start_task(SlotId{0}, task_of(0, 0, 0), 0.0);
   c.start_task(SlotId{1}, task_of(0, 0, 1), 0.0);
-  c.finish_task(SlotId{0}, 5.0);
-  c.finish_task(SlotId{1}, 10.0);
+  c.end_task(SlotId{0}, 5.0);
+  c.end_task(SlotId{1}, 10.0);
   c.settle(10.0);
   EXPECT_DOUBLE_EQ(c.total_busy_time(), 15.0);
   EXPECT_DOUBLE_EQ(c.utilization(10.0), 0.75);

@@ -556,6 +556,24 @@ TEST(TraceCaptureRejection, SlotBeyondTheHeaderFailsTheReplayAudit) {
   }
 }
 
+TEST(TraceCaptureRejection, EventBeforeTraceBeginFailsTheReplayAudit) {
+  // A consumer fed an event before its header has no ledger to apply it to;
+  // the misuse must be named, not read through an empty optional.
+  TraceEvent start;
+  start.kind = TraceEventKind::kTaskStarted;
+  start.task = TaskId{StageId{JobId{0}, 0}, 0, 0};
+  start.slot = SlotId{0};
+  audit::ReplayAuditor auditor;
+  try {
+    auditor.on_trace_event(start);
+    FAIL() << "an event before on_trace_begin was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("before on_trace_begin"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // Overwrite the little-endian integer of `width` bytes at `at`.
 void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int width) {
   for (int i = 0; i < width; ++i) {
