@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   VirtualClusterManager vcm(engine);
   MetricsRegistry metrics;
   EngineMetrics meter(metrics, /*policy=*/"service");
-  meter.set_tenant_resolver([&vcm](JobId job) { return vcm.tenant_of(job); });
   engine.add_observer(&meter);
   vcm.add_cluster({.name = "interactive",
                    .min_slots = 6,

@@ -50,6 +50,10 @@ struct StageSpec {
 struct JobSpec {
   std::string name;
 
+  /// Owning tenant; empty = untenanted.  VirtualClusterManager sets it at
+  /// admission, and the job's trace events carry it.
+  std::string tenant;
+
   /// Scheduling priority; larger wins.  Reservations inherit this value.
   int priority = 0;
 

@@ -119,14 +119,6 @@ ScenarioHarness::ScenarioHarness(const ClusterSpec& cluster,
 
 ScenarioHarness::~ScenarioHarness() = default;
 
-void ScenarioHarness::set_tenant_resolver(
-    const std::function<const std::string*(JobId)>& resolver) {
-  stream_.set_tenant_resolver(resolver);
-  if (recorder_ != nullptr) recorder_->set_tenant_resolver(resolver);
-  if (metrics_ != nullptr) metrics_->set_tenant_resolver(resolver);
-  if (auditor_ != nullptr) auditor_->set_tenant_resolver(resolver);
-}
-
 RunResult ScenarioHarness::collect(const std::vector<JobId>& ids) {
   RunResult result = fold_.result();  // throws unless the engine drained
   SSR_CHECK_MSG(ids.size() == result.jobs.size(),

@@ -11,7 +11,6 @@
 // and break digest equality.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,12 +50,6 @@ class ScenarioHarness {
 
   Engine& engine() { return engine_; }
   const Engine& engine() const { return engine_; }
-
-  /// Install `resolver` (an admitted job's tenant; nullptr = unmetered) on
-  /// every stream the harness attached, so the fold, recorder, metrics and
-  /// auditor see one tenancy.  Call before the engine starts stepping.
-  void set_tenant_resolver(
-      const std::function<const std::string*(JobId)>& resolver);
 
   /// The detector's verdict on options.failures (pass-through when off).
   const DetectionOutcome& detection() const { return detection_; }

@@ -20,9 +20,6 @@ RunResult run_open_scenario(const ClusterSpec& cluster,
   for (const VirtualClusterSpec& tenant : spec.tenants) {
     vcm.add_cluster(tenant);
   }
-  // Tenancy is registered at admission, before the arrival event fires, so
-  // tenant_of resolves by the time on_job_submitted reaches any observer.
-  harness.set_tenant_resolver([&vcm](JobId job) { return vcm.tenant_of(job); });
 
   SimTime last = 0.0;
   for (OpenArrival& arrival : arrivals) {

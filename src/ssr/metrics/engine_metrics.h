@@ -3,10 +3,10 @@
 // EngineMetrics is the TraceStream fold that feeds a MetricsRegistry from the
 // live event stream.  Every series carries a {policy=<name>} label group, so
 // reports from different scheduler configurations (nossr / ssr / carve-out)
-// stay separable in one registry; when the stream's tenant resolver is
-// installed (the VirtualClusterManager's tenant_of), job- and task-level
-// series are additionally recorded under {policy, tenant} label groups,
-// which is what the per-tenant isolation dashboards aggregate.
+// stay separable in one registry; a job admitted by a VirtualClusterManager
+// carries its tenant (JobSpec::tenant), and its job- and task-level series
+// are additionally recorded under {policy, tenant} label groups, which is
+// what the per-tenant isolation dashboards aggregate.
 //
 // Two free functions close the loop on state that is not event-shaped:
 // record_recovery() snapshots the RecoveryStats counters and

@@ -159,10 +159,7 @@ void TraceStream::on_job_submitted(const Engine& engine, JobId job) {
   e.job = job;
   e.job_name = engine.job_name(job);
   e.priority = engine.graph(job).priority();
-  if (tenant_of_) {
-    const std::string* tenant = tenant_of_(job);
-    if (tenant != nullptr) e.tenant = *tenant;
-  }
+  e.tenant = engine.graph(job).spec().tenant;
   emit(engine, e);
 }
 

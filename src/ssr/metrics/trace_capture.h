@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -137,12 +136,6 @@ class TraceConsumer {
 /// for.
 class TraceStream : public EngineObserver {
  public:
-  /// Resolve an admitted job to its tenant at on_job_submitted time; nullptr
-  /// or unset = untenanted (VirtualClusterManager::tenant_of is canonical).
-  void set_tenant_resolver(std::function<const std::string*(JobId)> resolver) {
-    tenant_of_ = std::move(resolver);
-  }
-
   void on_job_submitted(const Engine& engine, JobId job) final;
   void on_job_finished(const Engine& engine, JobId job) final;
   void on_stage_submitted(const Engine& engine, StageId stage) final;
@@ -165,9 +158,6 @@ class TraceStream : public EngineObserver {
   /// Receives every event, in callback order; `engine` is the one that
   /// fired the callback.
   virtual void emit(const Engine& engine, const TraceEvent& event) = 0;
-
- private:
-  std::function<const std::string*(JobId)> tenant_of_;
 };
 
 /// Captures the event stream of one run for serialization.  Attach

@@ -111,6 +111,7 @@ void VirtualClusterManager::admit(Tenant& t, JobSpec spec,
   const SimTime now = engine_.now();
   const std::uint32_t demand = slot_demand(spec);
   spec.submit_time = now;  // admission instant, not request instant
+  spec.tenant = t.spec.name;
   const JobId id = engine_.submit(std::move(spec));
 
   t.stats.admitted += 1;

@@ -2,16 +2,15 @@
 """Fixture suite for tools/ssr_analyze.py.
 
 Every analyzer rule has a deliberately-broken fixture it must flag and a
-clean fixture it must pass; suppression, stale-suppression, the baseline
-workflow, and the repo-sweep fixture exclusion are covered too.  Runs under
-ctest as `analyze.ssr_analyze_fixtures` (stdlib unittest; no pytest
-dependency in the container).
+clean fixture it must pass; the repo-sweep fixture exclusion and the
+command line are covered too.  Runs under ctest as
+`analyze.ssr_analyze_fixtures` (stdlib unittest; no pytest dependency in the
+container).
 """
 
 import json
 import subprocess
 import sys
-import tempfile
 import unittest
 from pathlib import Path
 
@@ -26,6 +25,8 @@ RULES = [
     "observer-schema",
     "sim-time-arith",
     "nondet-api",
+    "no-assert",
+    "pragma-once",
 ]
 
 # rule -> minimum number of findings its bad fixture must produce.
@@ -36,6 +37,8 @@ EXPECTED_MIN = {
     "observer-schema": 3,
     "sim-time-arith": 3,
     "nondet-api": 6,
+    "no-assert": 3,
+    "pragma-once": 1,
 }
 
 # Extra fixture pairs that exercise one rule beyond its primary fixture:
@@ -64,9 +67,15 @@ def run_analyzer(*args):
     return proc.returncode, findings, proc.stdout + proc.stderr
 
 
+def fixture(kind, stem):
+    """`<kind>/<stem>.cpp`, or `<stem>.h` for a rule that checks headers."""
+    path = FIXTURES / kind / (stem + ".cpp")
+    return path if path.is_file() else path.with_suffix(".h")
+
+
 class BadFixturesAreFlagged(unittest.TestCase):
     def check_bad(self, stem, rule, expected_min):
-        path = FIXTURES / "bad" / (stem + ".cpp")
+        path = fixture("bad", stem)
         self.assertTrue(path.is_file(), f"missing fixture {path}")
         code, findings, out = run_analyzer(path)
         hits = [f for f in findings if f["rule"] == rule]
@@ -97,7 +106,7 @@ for _stem, (_rule, _min) in EXTRA_PAIRS.items():
 
 class CleanFixturesPass(unittest.TestCase):
     def check_clean(self, stem):
-        path = FIXTURES / "clean" / (stem + ".cpp")
+        path = fixture("clean", stem)
         self.assertTrue(path.is_file(), f"missing fixture {path}")
         code, findings, out = run_analyzer(path)
         self.assertEqual(code, 0, f"{stem}: clean fixture flagged\n{out}")
@@ -110,77 +119,29 @@ for _stem in [r.replace("-", "_") for r in RULES] + sorted(EXTRA_PAIRS):
     setattr(CleanFixturesPass, f"test_{_stem}", _make_clean(_stem))
 
 
-class Suppressions(unittest.TestCase):
-    def test_allow_silences_finding(self):
-        code, findings, out = run_analyzer(FIXTURES / "suppressed.cpp")
-        self.assertEqual(code, 0, out)
-        self.assertEqual(findings, [])
-
-    def test_stale_allow_is_a_finding(self):
-        code, findings, out = run_analyzer(FIXTURES / "stale_allow.cpp")
-        self.assertEqual(code, 1, out)
-        stale = [f for f in findings if f["rule"] == "stale-suppression"]
-        self.assertEqual(len(stale), 2, out)
-        messages = " ".join(f["message"] for f in stale)
-        self.assertIn("no-such-rule", messages)
-
-
-class BaselineWorkflow(unittest.TestCase):
-    def test_baselined_findings_do_not_fail(self):
-        bad = FIXTURES / "bad" / "nondet_api.cpp"
-        with tempfile.TemporaryDirectory() as td:
-            baseline = Path(td) / "baseline.json"
-            proc = subprocess.run(
-                [sys.executable, str(ANALYZE), "--root", str(REPO),
-                 "--baseline", str(baseline), "--update-baseline", str(bad)],
-                capture_output=True, text=True, cwd=REPO)
-            self.assertEqual(proc.returncode, 0, proc.stderr)
-            doc = json.loads(baseline.read_text())
-            self.assertEqual(doc["schema"], "ssr-analyze-baseline-v1")
-            self.assertGreater(len(doc["findings"]), 0)
-
-            # Same findings, now baselined: the run is clean.
-            code, findings, out = run_analyzer(
-                "--baseline", baseline, bad)
-            self.assertEqual(code, 0, out)
-            self.assertTrue(all(f["baselined"] for f in findings), out)
-
-    def test_unknown_baseline_schema_is_usage_error(self):
-        with tempfile.TemporaryDirectory() as td:
-            baseline = Path(td) / "baseline.json"
-            baseline.write_text('{"schema": "bogus-v0", "findings": []}')
-            proc = subprocess.run(
-                [sys.executable, str(ANALYZE), "--root", str(REPO),
-                 "--baseline", str(baseline),
-                 str(FIXTURES / "clean" / "nondet_api.cpp")],
-                capture_output=True, text=True, cwd=REPO)
-            self.assertEqual(proc.returncode, 2, proc.stderr)
-
-
 class RepoSweep(unittest.TestCase):
     def test_fixture_corpus_is_excluded_from_sweeps(self):
         # A directory sweep over tests/ must skip the deliberately-broken
         # corpus — if it didn't, the seeded bugs above would all fire here.
         code, findings, out = run_analyzer("tests")
         self.assertEqual(code, 0, out)
-        self.assertEqual([f for f in findings if not f["baselined"]], [])
-
-    def test_committed_baseline_is_empty(self):
-        # The tree itself must be clean: true positives get fixed, not
-        # baselined away (the committed baseline only absorbs genuinely
-        # disputed findings, and today there are none).
-        doc = json.loads(
-            (REPO / "tools" / "ssr_analyze_baseline.json").read_text())
-        self.assertEqual(doc["schema"], "ssr-analyze-baseline-v1")
-        self.assertEqual(doc["findings"], [])
+        self.assertEqual(findings, [])
 
     def test_list_rules(self):
         proc = subprocess.run(
             [sys.executable, str(ANALYZE), "--list-rules"],
             capture_output=True, text=True, cwd=REPO)
         self.assertEqual(proc.returncode, 0)
-        for rule in RULES + ["stale-suppression"]:
+        for rule in RULES:
             self.assertIn(rule, proc.stdout)
+
+    def test_baseline_flags_are_usage_errors(self):
+        # Findings are the gate: there is no baseline to record them in.
+        for flag in ("--baseline", "--update-baseline"):
+            proc = subprocess.run(
+                [sys.executable, str(ANALYZE), flag, "x.json", "src"],
+                capture_output=True, text=True, cwd=REPO)
+            self.assertEqual(proc.returncode, 2, flag)
 
 
 if __name__ == "__main__":

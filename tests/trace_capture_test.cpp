@@ -19,7 +19,7 @@
 //    simulation that produced it;
 //  * a committed binary fixture (tests/golden/failure_recovery.trace) that
 //    re-recording must reproduce byte for byte and replaying must re-certify
-//    against its committed digest — the replay-verify CI step leans on this;
+//    against its committed digest — the replay_verify ctests lean on this;
 //  * rejection of corrupt, truncated, version-skewed and trailing-garbage
 //    inputs, and of well-formed streams no run could produce, with errors
 //    naming the defect.
@@ -45,6 +45,7 @@
 #include "ssr/exp/trace_replay.h"
 #include "ssr/metrics/trace_capture.h"
 #include "ssr/metrics/trace_export.h"
+#include "ssr/sched/virtual_cluster.h"
 #include "ssr/sim/failure_injector.h"
 #include "ssr/workload/mlbench.h"
 #include "ssr/workload/open_arrival.h"
@@ -371,6 +372,30 @@ TEST(TraceCapture, ReplayFeedsChromeTraceExportWithTenantTracks) {
   exporter.write_json(json);
   EXPECT_NE(json.str().find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.str().find("\"ph\":\"X\""), std::string::npos);
+}
+
+TEST(TraceCapture, RecorderOnAVirtualClusterEngineRecordsEachJobsTenant) {
+  // No harness: the tenant travels on the admitted JobSpec, and a job
+  // submitted around the manager stays untenanted.
+  Engine engine(SchedConfig{}, /*num_nodes=*/2, /*slots_per_node=*/2,
+                /*seed=*/1);
+  VirtualClusterManager vcm(engine);
+  vcm.add_cluster({.name = "gold", .min_slots = 2, .max_slots = 4});
+  vcm.add_cluster({.name = "silver", .min_slots = 1, .max_slots = 4});
+  TraceRecorder recorder(2, engine.cluster().num_slots(), 1, "run",
+                         /*counts_expired=*/false);
+  engine.add_observer(&recorder);
+  vcm.submit_job("gold", JobBuilder("g").stage(1, fixed_duration(1.0)).build());
+  vcm.submit_job("silver",
+                 JobBuilder("s").stage(1, fixed_duration(1.0)).build());
+  engine.submit(JobBuilder("plain").stage(1, fixed_duration(1.0)).build());
+  engine.drain();
+
+  std::vector<std::string> tenants;
+  for (const TraceEvent& e : recorder.events()) {
+    if (e.kind == TraceEventKind::kJobSubmitted) tenants.push_back(e.tenant);
+  }
+  EXPECT_EQ(tenants, (std::vector<std::string>{"gold", "silver", ""}));
 }
 
 TEST(TraceCapture, LiveAndReplayedChromeExportsOfAFaultedRunAreEqual) {

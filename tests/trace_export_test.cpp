@@ -164,12 +164,11 @@ TEST(TraceExport, LiveObserverUsesTenantResolver) {
   Engine engine(SchedConfig{}, 1, 2, 1);
   TraceFanOut stream;
   TraceExporter trace;
-  const std::string tenant = "svc";
-  stream.set_tenant_resolver(
-      [&tenant](JobId job) { return job.v == 0 ? &tenant : nullptr; });
   stream.attach(trace);
   engine.add_observer(&stream);
-  engine.submit(JobBuilder("metered").stage(1, fixed_duration(2.0)).build());
+  JobSpec metered = JobBuilder("metered").stage(1, fixed_duration(2.0)).build();
+  metered.tenant = "svc";
+  engine.submit(std::move(metered));
   engine.submit(JobBuilder("plain").stage(1, fixed_duration(2.0)).build());
   engine.run();
 

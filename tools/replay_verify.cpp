@@ -12,7 +12,7 @@
 // Usage:
 //   replay_verify <capture.trace> <digest-title> <expected.golden>
 //
-// e.g. the audited CI leg runs:
+// e.g. the ctest replay_verify.committed_capture runs:
 //   replay_verify tests/golden/failure_recovery.trace
 //       failure/ssr+mitigation tests/golden/failure_recovery.golden
 //
@@ -80,6 +80,11 @@ int main(int argc, char** argv) {
   const std::string title = argv[2];
   const std::string golden_path = argv[3];
 
+  std::string capture;
+  if (!slurp(trace_path, &capture)) {
+    std::cerr << "replay_verify: cannot read capture: " << trace_path << "\n";
+    return 2;
+  }
   std::string expected;
   if (!slurp(golden_path, &expected)) {
     std::cerr << "replay_verify: cannot read golden digest: " << golden_path
@@ -89,7 +94,7 @@ int main(int argc, char** argv) {
 
   try {
     const ssr::TraceReplayer replayer =
-        ssr::TraceReplayer::from_file(trace_path);
+        ssr::TraceReplayer::from_bytes(capture);
     ssr::ReplayResultBuilder builder;
     ssr::audit::ReplayAuditor auditor;
     replayer.replay({&builder, &auditor});
@@ -114,7 +119,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   } catch (const ssr::CheckError& e) {
-    std::cerr << "replay_verify: " << e.what() << "\n";
+    std::cerr << "replay_verify: " << e.message() << "\n";
     return 1;
   }
 

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""AST-grounded determinism & concurrency static analyzer for the SSR tree.
+"""Determinism & convention static analyzer for the SSR tree.
 
 Every correctness guarantee this reproduction makes rests on bit-identical
 determinism: golden-replay digests, the 200-scenario differential suite, the
 open-vs-closed equivalence suite and the trace round-trips all compare byte
 streams.  The runtime suites *sample* nondeterminism; this pass proves the
-structural sources of it absent before code lands.  Unlike tools/ssr_lint.py
-(line regexes for textual conventions), every rule here runs over a parsed
-representation of the code: class/field/method structure, local variable
-types, range-for iteration targets resolved through member and call chains,
-lock_guard scopes, and a cross-TU call graph.
+structural sources of it absent before code lands.  Most rules run over a
+parsed representation of the code: class/field/method structure, local
+variable types, range-for iteration targets resolved through member and call
+chains, lock_guard scopes, and a cross-TU call graph.  The two convention
+rules read comment- and string-stripped source lines instead, because the
+parser drops preprocessor lines and a macro body must still be checked.
 
 Rules (see DESIGN.md §12 for the hazard-class -> runtime-suite mapping):
 
@@ -29,9 +30,8 @@ Rules (see DESIGN.md §12 for the hazard-class -> runtime-suite mapping):
                       outside any lock region (constructors/destructors are
                       exempt: single-threaded by contract).  Race candidates
                       for the sweep thread pool.
-  observer-schema     AST-accurate replacement for the retired regex
-                      trace-schema lint: every virtual on_* of EngineObserver
-                      must be overridden by TraceStream (the one callback ->
+  observer-schema     every virtual on_* of EngineObserver must be
+                      overridden by TraceStream (the one callback ->
                       TraceEvent conversion), each with its own
                       TraceEventKind, and ReplayAuditor (the one event ->
                       SlotLedger mapping) must handle every kind.
@@ -40,23 +40,22 @@ Rules (see DESIGN.md §12 for the hazard-class -> runtime-suite mapping):
                       assigned from time-typed expressions without an
                       explicit cast, and SimTime computed by integer/integer
                       division (silent truncation).
-  nondet-api          AST-level versions of the retired regex lints:
-                      rand/srand/time(nullptr) calls, std::random_device,
+  nondet-api          rand/srand/time(nullptr) calls, std::random_device,
                       default-constructed <random> engines (including
                       never-seeded engine fields), and naked `new`.
+  no-assert           assert()/abort() terminate without context; use the
+                      SSR_CHECK* macros, which throw ssr::CheckError with
+                      file:line and a message (tests rely on catching it).
+  pragma-once         headers use #pragma once, not #ifndef guards.
 
 Usage:
-  tools/ssr_analyze.py [paths...]        # default: src tools bench examples
-  tools/ssr_analyze.py --json out.json --baseline tools/ssr_analyze_baseline.json
+  tools/ssr_analyze.py [paths...]   # default: src tools bench examples tests
+  tools/ssr_analyze.py --json out.json
   tools/ssr_analyze.py --list-rules
-  tools/ssr_analyze.py --update-baseline
 
-Suppress a finding with `// ssr-analyze: allow(<rule>)` on the finding line
-or on a comment line directly above it.  An allow that suppresses nothing is
-itself a finding (stale-suppression), so annotations cannot rot.
-
-Findings already recorded in the committed baseline file do not fail the run;
-anything new does.  Exit status: 0 clean, 1 new findings, 2 usage error.
+There is no suppression annotation and no baseline: every finding fails the
+run, and a false positive is fixed in the analyzer.
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -70,12 +69,14 @@ from pathlib import Path
 
 CXX_SUFFIXES = {".h", ".hpp", ".cpp", ".cc", ".cxx"}
 
-# Directories whose contents are deliberately-broken analyzer fixtures; never
-# part of a repo sweep (tests/analyze/test_ssr_analyze.py points the analyzer
-# at them explicitly).
-SKIP_DIR_PARTS = ("tests/analyze/fixtures", "tests/analyze/lint_fixtures")
+HEADER_SUFFIXES = {".h", ".hpp"}
 
-ALLOW_RE = re.compile(r"//\s*ssr-analyze:\s*allow\(([a-z0-9-]+)\)")
+# The default sweep; perfbench/ is the benchmark and stays outside it.
+DEFAULT_PATHS = ["src", "tools", "bench", "examples", "tests"]
+
+# The deliberately-broken fixture corpus; never part of a directory sweep
+# (tests/analyze/test_ssr_analyze.py points the analyzer at it explicitly).
+SKIP_DIR_PART = "tests/analyze/fixtures"
 
 RULES = {
     "nondet-iteration":
@@ -96,8 +97,8 @@ RULES = {
     "nondet-api":
         "no wall-clock, unseeded <random> engines, std::random_device, or "
         "naked new",
-    "stale-suppression":
-        "an ssr-analyze: allow(...) annotation must suppress a finding",
+    "no-assert": "assert()/abort() forbidden; use SSR_CHECK*/SSR_CHECK_MSG",
+    "pragma-once": "headers must use #pragma once, not #ifndef guards",
 }
 
 
@@ -298,7 +299,6 @@ class FileIR:
     path: Path
     rel: str
     lines: list
-    allows: dict            # line -> set of rule names
     classes: list = field(default_factory=list)
     functions: list = field(default_factory=list)  # free + member defs
     enums: dict = field(default_factory=dict)
@@ -441,11 +441,7 @@ class FileParser:
 
     def __init__(self, path: Path, rel: str, text: str):
         self.ir = FileIR(path=path, rel=rel, lines=text.splitlines(),
-                         allows={}, enums={})
-        for lineno, raw in enumerate(self.ir.lines, start=1):
-            m = ALLOW_RE.search(raw)
-            if m:
-                self.ir.allows.setdefault(lineno, set()).add(m.group(1))
+                         enums={})
         self.toks = lex(text)
         # Bodies are parsed only after the whole structural pass, so a method
         # defined above the class's field list (the project style) still sees
@@ -1599,6 +1595,61 @@ def _is_default_init(init: str) -> bool:
     return stripped in ("", "{}", "()")
 
 
+# Comments, then string and char literals.
+_COMMENT_OR_LITERAL = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'",
+    re.DOTALL)
+
+
+def _code_lines(f: FileIR) -> list:
+    """f's source lines with comments and string/char literals blanked, so
+    `// no assert() here` and "abort()" are not calls.  Unlike the lexer's
+    token stream, preprocessor lines (macro bodies) stay."""
+    text = "\n".join(f.lines)
+    return _COMMENT_OR_LITERAL.sub(
+        lambda m: re.sub(r"[^\n]", " ", m.group()), text).split("\n")
+
+
+_ASSERT_CALLS = (
+    (re.compile(r"(?<![\w.])assert\s*\("),
+     "assert() aborts without context; use SSR_CHECK or SSR_CHECK_MSG"),
+    (re.compile(r"(?<![\w.])(?:std::)?abort\s*\("),
+     "abort() is uncatchable; throw via SSR_CHECK_MSG(false, ...) instead"),
+)
+
+
+def rule_no_assert(program: Program):
+    findings = []
+    for f in program.files:
+        for lineno, line in enumerate(_code_lines(f), start=1):
+            for pattern, message in _ASSERT_CALLS:
+                if pattern.search(line):
+                    findings.append(
+                        Finding(f.rel, lineno, "no-assert", message))
+    return findings
+
+
+_GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+\w+_H\w*\s*$")
+_PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\s*$")
+
+
+def rule_pragma_once(program: Program):
+    findings = []
+    for f in program.files:
+        if f.path.suffix not in HEADER_SUFFIXES:
+            continue
+        lines = _code_lines(f)
+        if any(_PRAGMA_ONCE_RE.match(line) for line in lines):
+            continue
+        guard = next((n for n, line in enumerate(lines, start=1)
+                      if _GUARD_RE.match(line)), None)
+        findings.append(Finding(
+            f.rel, guard or 1, "pragma-once",
+            "header lacks #pragma once" +
+            (" (uses an #ifndef guard)" if guard else "")))
+    return findings
+
+
 RULE_FUNCS = {
     "nondet-iteration": rule_nondet_iteration,
     "pointer-keyed-order": rule_pointer_keyed_order,
@@ -1606,11 +1657,13 @@ RULE_FUNCS = {
     "observer-schema": rule_observer_schema,
     "sim-time-arith": rule_sim_time_arith,
     "nondet-api": rule_nondet_api,
+    "no-assert": rule_no_assert,
+    "pragma-once": rule_pragma_once,
 }
 
 
 # --------------------------------------------------------------------------
-# Driver: collection, suppression, baseline, reporting
+# Driver: collection and reporting
 # --------------------------------------------------------------------------
 
 def collect_files(paths, root: Path):
@@ -1624,86 +1677,22 @@ def collect_files(paths, root: Path):
         elif p.is_dir():
             for f in sorted(p.rglob("*")):
                 if f.suffix in CXX_SUFFIXES and f.is_file():
-                    rel = f.as_posix()
-                    if any(part in rel for part in SKIP_DIR_PARTS):
-                        continue
-                    files.append(f)
+                    if SKIP_DIR_PART not in f.as_posix():
+                        files.append(f)
         else:
             print(f"ssr_analyze: no such path: {arg}", file=sys.stderr)
             sys.exit(2)
     return files
 
 
-def finding_key(f: Finding, file_lines: dict) -> str:
-    """Line-number-independent identity for baselining: rule + file +
-    whitespace-collapsed source line text + occurrence counter (appended by
-    the caller)."""
-    lines = file_lines.get(f.rel, [])
-    text = lines[f.line - 1].strip() if 0 < f.line <= len(lines) else ""
-    collapsed = re.sub(r"\s+", " ", text)
-    return f"{f.rule}|{f.rel}|{collapsed}"
-
-
-def apply_suppressions(findings, files_by_rel):
-    """Partition findings into (kept, suppressed) honoring allow
-    annotations; returns also the set of used (rel, line, rule) allows."""
-    kept, used = [], set()
-    for f in findings:
-        ir = files_by_rel.get(f.rel)
-        allowed = False
-        if ir is not None:
-            for ln in (f.line, f.line - 1):
-                rules = ir.allows.get(ln, set())
-                if f.rule in rules:
-                    # line-above allows must be standalone comments
-                    if ln == f.line or _comment_only(ir, ln):
-                        allowed = True
-                        used.add((f.rel, ln, f.rule))
-                        break
-        if not allowed:
-            kept.append(f)
-    return kept, used
-
-
-def _comment_only(ir: FileIR, ln: int) -> bool:
-    if not (0 < ln <= len(ir.lines)):
-        return False
-    return ir.lines[ln - 1].strip().startswith("//")
-
-
-def stale_suppressions(files_by_rel, used):
-    out = []
-    for rel, ir in sorted(files_by_rel.items()):
-        for ln, rules in sorted(ir.allows.items()):
-            for rule in sorted(rules):
-                if rule not in RULES:
-                    out.append(Finding(
-                        rel, ln, "stale-suppression",
-                        f"allow({rule}) names a rule ssr-analyze does not "
-                        "have; remove or fix the annotation"))
-                elif (rel, ln, rule) not in used:
-                    out.append(Finding(
-                        rel, ln, "stale-suppression",
-                        f"allow({rule}) suppresses nothing on this line; "
-                        "the finding it silenced is gone — remove the "
-                        "annotation"))
-    return out
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("paths", nargs="*",
-                        default=["src", "tools", "bench", "examples"])
+    parser.add_argument("paths", nargs="*", default=DEFAULT_PATHS)
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--json", metavar="PATH",
                         help="write structured findings to PATH ('-' stdout)")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="baseline file; only findings not recorded "
-                        "there fail the run")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline to the current findings")
     parser.add_argument("--root", metavar="DIR", default=".",
                         help="project root for relative paths (default .)")
     parser.add_argument("--rules", metavar="R1,R2",
@@ -1742,7 +1731,6 @@ def main() -> int:
         p.finish(class_index)
 
     program = Program(irs)
-    files_by_rel = {ir.rel: ir for ir in irs}
 
     selected = list(RULE_FUNCS)
     if args.rules:
@@ -1758,50 +1746,8 @@ def main() -> int:
         findings.extend(RULE_FUNCS[rule](program))
     findings.sort(key=lambda f: (f.rel, f.line, f.rule))
 
-    findings, used = apply_suppressions(findings, files_by_rel)
-    findings.extend(stale_suppressions(files_by_rel, used))
-    findings.sort(key=lambda f: (f.rel, f.line, f.rule))
-
-    # Baseline handling: keyed by rule|file|source-line-text plus an
-    # occurrence counter so duplicates on identical lines stay distinct.
-    file_lines = {ir.rel: ir.lines for ir in irs}
-    counted = {}
-    keyed = []
     for f in findings:
-        base = finding_key(f, file_lines)
-        counted[base] = counted.get(base, 0) + 1
-        keyed.append((f"{base}#{counted[base]}", f))
-
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if args.update_baseline:
-        if baseline_path is None:
-            print("ssr_analyze: --update-baseline requires --baseline",
-                  file=sys.stderr)
-            return 2
-        doc = {"schema": "ssr-analyze-baseline-v1",
-               "findings": sorted(k for k, _ in keyed)}
-        baseline_path.write_text(json.dumps(doc, indent=2) + "\n",
-                                 encoding="utf-8")
-        print(f"ssr_analyze: baseline updated with {len(keyed)} finding(s)")
-        return 0
-
-    baselined = set()
-    if baseline_path is not None and baseline_path.is_file():
-        doc = json.loads(baseline_path.read_text(encoding="utf-8"))
-        if doc.get("schema") != "ssr-analyze-baseline-v1":
-            print(f"ssr_analyze: {baseline_path}: unknown baseline schema",
-                  file=sys.stderr)
-            return 2
-        baselined = set(doc.get("findings", []))
-
-    new_findings = [f for k, f in keyed if k not in baselined]
-    old_findings = [f for k, f in keyed if k in baselined]
-
-    for f in new_findings:
         print(f.text())
-    if old_findings:
-        print(f"ssr_analyze: {len(old_findings)} baselined finding(s) "
-              "suppressed", file=sys.stderr)
 
     if args.json:
         doc = {
@@ -1809,8 +1755,8 @@ def main() -> int:
             "files": len(files),
             "findings": [
                 {"file": f.rel, "line": f.line, "rule": f.rule,
-                 "message": f.message, "baselined": k in baselined}
-                for k, f in keyed
+                 "message": f.message}
+                for f in findings
             ],
         }
         payload = json.dumps(doc, indent=2) + "\n"
@@ -1819,10 +1765,9 @@ def main() -> int:
         else:
             Path(args.json).write_text(payload, encoding="utf-8")
 
-    print(f"ssr_analyze: {len(files)} files, "
-          f"{len(new_findings)} new finding(s), "
-          f"{len(old_findings)} baselined", file=sys.stderr)
-    return 1 if new_findings else 0
+    print(f"ssr_analyze: {len(files)} files, {len(findings)} finding(s)",
+          file=sys.stderr)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":
