@@ -22,9 +22,13 @@
 //
 // Doubles round-trip bit-exactly, so a replayed digest can be compared
 // byte-for-byte against the committed goldens.  TraceReplayer validates
-// magic, version and checksum up front and bounds-checks every read;
-// corrupt, truncated or version-skewed files are rejected with a CheckError
-// naming the defect instead of yielding garbage events.
+// magic, version, checksum and every event up front; corrupt, truncated or
+// version-skewed files are rejected with a CheckError naming the defect
+// instead of yielding garbage events.
+//
+// Neither side holds the run as TraceEvent records: the recorder appends each
+// event's encoding to one byte buffer as it arrives, and the replayer keeps
+// the validated bytes and decodes each event again on every replay.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +45,14 @@ namespace ssr {
 /// Current on-disk format version.  Bump on any layout change; the replayer
 /// refuses other versions (no silent cross-version decoding).
 inline constexpr std::uint32_t kTraceVersion = 1;
+
+/// Largest slot count a capture header may declare.  Replay consumers size a
+/// per-slot model from the header before they see any event, so an
+/// unchecked u32 from a file could ask for gigabytes.  2^20 is 26x the
+/// largest cluster any bench runs (sched_10k: 40,000 slots) and above the
+/// 400,000 slots of a 100k-node cluster.  The recorder refuses larger
+/// clusters too, so every capture it writes can be read back.
+inline constexpr std::uint32_t kMaxTraceSlots = std::uint32_t{1} << 20;
 
 /// One EngineObserver callback, in capture order.  Discriminants match the
 /// callback that produced the record; every on_* callback of EngineObserver
@@ -162,9 +174,10 @@ class TraceStream : public EngineObserver {
 
 /// Captures the event stream of one run for serialization.  Attach
 /// alongside (not instead of) other observers; recording is passive and
-/// order-preserving.
+/// order-preserving.  Each event is encoded as it arrives.
 class TraceRecorder : public TraceStream {
  public:
+  /// Throws CheckError if `num_slots` exceeds kMaxTraceSlots.
   TraceRecorder(std::uint32_t num_nodes, std::uint32_t num_slots,
                 std::uint64_t seed, std::string policy, bool counts_expired);
 
@@ -177,10 +190,10 @@ class TraceRecorder : public TraceStream {
   }
 
   const TraceHeader& header() const { return header_; }
-  const std::vector<TraceEvent>& events() const { return events_; }
 
   /// Full file image (magic + body + checksum).
   std::string serialize() const;
+  /// Writes the same image piece by piece, without building it in memory.
   void write_file(const std::string& path) const;
 
  protected:
@@ -188,7 +201,8 @@ class TraceRecorder : public TraceStream {
 
  private:
   TraceHeader header_;
-  std::vector<TraceEvent> events_;
+  std::uint64_t count_ = 0;
+  std::string events_;  ///< every event's encoding, in emit order
 };
 
 /// Drives TraceConsumers from a live engine: the live twin of
@@ -210,16 +224,26 @@ class TraceFanOut : public TraceStream {
   std::vector<TraceConsumer*> consumers_;
 };
 
-/// Parses a capture eagerly (validating as it goes) and re-drives consumers.
+/// Validates a whole capture up front, then re-drives consumers from its
+/// bytes: each replay decodes the events afresh, one at a time.
 class TraceReplayer {
  public:
   /// Both throw CheckError on unreadable, corrupt, truncated or
-  /// version-mismatched input.
+  /// version-mismatched input, and on a header declaring more than
+  /// kMaxTraceSlots slots; a replayer exists only for a capture whose every
+  /// event parsed.
   static TraceReplayer from_file(const std::string& path);
-  static TraceReplayer from_bytes(const std::string& bytes);
+  static TraceReplayer from_bytes(std::string bytes);
+
+  /// The capture's events, still encoded: the view counts them, and
+  /// decode_events() materializes them.
+  struct Events {
+    std::uint64_t count = 0;
+    std::uint64_t size() const { return count; }
+  };
 
   const TraceHeader& header() const { return header_; }
-  const std::vector<TraceEvent>& events() const { return events_; }
+  Events events() const { return {count_}; }
 
   /// Drive every consumer through the whole capture: one on_trace_begin,
   /// then every event in file order (all consumers see an event before any
@@ -227,13 +251,21 @@ class TraceReplayer {
   void replay(const std::vector<TraceConsumer*>& consumers) const;
 
  private:
+  friend std::vector<TraceEvent> decode_events(const TraceReplayer& replayer);
   TraceReplayer() = default;
 
+  std::string bytes_;  ///< the validated file image
   TraceHeader header_;
-  std::vector<TraceEvent> events_;
+  std::uint64_t count_ = 0;
+  std::size_t first_event_ = 0;  ///< offset of event 0 within the body
 };
 
-/// Serialize just the events (testing seam; serialize() wraps this).
+/// Every event of a capture in one vector, for tests and tools that compare
+/// or search whole streams; replay never builds it.
+std::vector<TraceEvent> decode_events(const TraceReplayer& replayer);
+
+/// The file image of a header and events (testing seam; the recorder
+/// encodes with the same per-event encoder).
 std::string serialize_trace(const TraceHeader& header,
                             const std::vector<TraceEvent>& events);
 

@@ -270,7 +270,7 @@ std::vector<TraceEvent> harness_event_log(const ClusterSpec& cluster,
   }
   harness.engine().run();
   harness.collect(ids);
-  return log.events();
+  return decode_events(TraceReplayer::from_bytes(log.serialize()));
 }
 
 /// Assert two event streams are identical (every field, times compared
@@ -346,10 +346,8 @@ TEST(FailureDetectorDifferential, CleanChannelOnHealthyClusterIsNoOp) {
 
 /// Time of the first slot_failed event in the run's capture.
 SimTime first_slot_failure_at(const std::string& capture_path) {
-  // Bind the replayer to a local: a range-for over the temporary's
-  // events() would iterate a vector the temporary takes with it.
-  const TraceReplayer replayer = TraceReplayer::from_file(capture_path);
-  for (const TraceEvent& e : replayer.events()) {
+  for (const TraceEvent& e :
+       decode_events(TraceReplayer::from_file(capture_path))) {
     if (e.kind == TraceEventKind::kSlotFailed) return e.time;
   }
   ADD_FAILURE() << "no slot_failed event in " << capture_path;

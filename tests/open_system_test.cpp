@@ -71,7 +71,8 @@ DrivenRun drive_closed(const ClusterSpec& cluster, std::vector<JobSpec> jobs,
   harness.engine().run();
   std::ostringstream digest;
   append_run(digest, title, harness.collect(ids));
-  return {digest.str(), log.events()};
+  return {digest.str(),
+          decode_events(TraceReplayer::from_bytes(log.serialize()))};
 }
 
 /// Open replay: identical inputs, but driven through advance_to in
@@ -151,7 +152,8 @@ DrivenRun drive_open(const ClusterSpec& cluster, std::vector<JobSpec> jobs,
 
   std::ostringstream digest;
   append_run(digest, title, harness.collect(ids));
-  return {digest.str(), log.events()};
+  return {digest.str(),
+          decode_events(TraceReplayer::from_bytes(log.serialize()))};
 }
 
 /// Assert two event streams are identical (every field, times compared

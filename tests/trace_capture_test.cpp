@@ -8,7 +8,7 @@
 // feeds the same consumers through a TraceFanOut, and ScenarioHarness checks
 // the live fold against the Engine's own accounting, so a replayed digest
 // equal to the live one is pinned to the engine.  The suite pins that in
-// four layers:
+// five layers:
 //
 //  * 100 seeded random round-trips (70 closed trials mixing reservation
 //    policies, node-failure schedules and heartbeat-detector configs; 30
@@ -22,12 +22,17 @@
 //    against its committed digest — the replay_verify ctests lean on this;
 //  * rejection of corrupt, truncated, version-skewed and trailing-garbage
 //    inputs, and of well-formed streams no run could produce, with errors
-//    naming the defect.
+//    naming the defect;
+//  * seeded mutations of two real captures, each accepted or refused with
+//    a CheckError by the parser and by the consumers it feeds.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -267,8 +272,8 @@ TEST(TraceCapture, ThirtyRandomOpenArrivalRunsRoundTripBitIdentically) {
 
     // The capture carries the tenant of every admitted job (the replayed
     // Chrome export's per-tenant tracks depend on it).
-    const TraceReplayer replayer = TraceReplayer::from_file(path);
-    for (const TraceEvent& e : replayer.events()) {
+    for (const TraceEvent& e :
+         decode_events(TraceReplayer::from_file(path))) {
       if (e.kind == TraceEventKind::kJobSubmitted && !e.tenant.empty()) {
         ++tenanted_events;
       }
@@ -392,10 +397,68 @@ TEST(TraceCapture, RecorderOnAVirtualClusterEngineRecordsEachJobsTenant) {
   engine.drain();
 
   std::vector<std::string> tenants;
-  for (const TraceEvent& e : recorder.events()) {
+  for (const TraceEvent& e :
+       decode_events(TraceReplayer::from_bytes(recorder.serialize()))) {
     if (e.kind == TraceEventKind::kJobSubmitted) tenants.push_back(e.tenant);
   }
   EXPECT_EQ(tenants, (std::vector<std::string>{"gold", "silver", ""}));
+}
+
+/// Keeps a copy of every event it is fed.
+struct CollectingConsumer : TraceConsumer {
+  std::vector<TraceEvent> seen;
+  void on_trace_event(const TraceEvent& e) override { seen.push_back(e); }
+};
+
+TEST(TraceCapture, ReplayedEventsEqualTheSerializedOnes) {
+  // Replay decodes every event into one reused object.  Each event a
+  // consumer sees must still equal the one serialized, with the fields its
+  // kind does not carry at their defaults, not left over from the event
+  // before.  One event of every kind, each payload away from its defaults,
+  // then the same events in reverse order.
+  std::vector<TraceEvent> events(15);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    events[i].kind = static_cast<TraceEventKind>(i + 1);
+    events[i].time = 1.5 * static_cast<double>(i);
+  }
+  const JobId job{3};
+  const StageId stage{job, 2};
+  const TaskId task{stage, 5, 1};
+  events[0].job = job;
+  events[0].priority = 7;
+  events[0].job_name = "a job name longer than the small-string buffer";
+  events[0].tenant = "gold";
+  events[1].job = job;
+  events[2].stage = stage;
+  events[2].parents = {0, 1};
+  events[3].stage = stage;
+  for (std::size_t i = 4; i <= 7; ++i) {  // started, finished, killed, failed
+    events[i].task = task;
+    events[i].slot = SlotId{9};
+  }
+  events[4].local = true;
+  events[8].task = task;
+  events[9].stage = stage;
+  events[10].slot = SlotId{4};
+  events[11].slot = SlotId{4};
+  events[12].slot = SlotId{6};
+  events[12].job = job;
+  events[12].priority = 7;
+  events[12].deadline = 40.0;
+  events[12].for_stage = StageId{job, 3};
+  events[12].token = 77;
+  events[13].slot = SlotId{6};
+  events[13].reason = ReservationEndReason::Expired;
+  const std::vector<TraceEvent> forward = events;
+  events.insert(events.end(), forward.rbegin(), forward.rend());
+
+  const TraceReplayer replayer =
+      TraceReplayer::from_bytes(serialize_trace(TraceHeader{}, events));
+  CollectingConsumer replayed;
+  replayer.replay({&replayed});
+  EXPECT_TRUE(replayed.seen == events);
+  EXPECT_TRUE(decode_events(replayer) == events);
+  EXPECT_EQ(replayer.events().size(), events.size());
 }
 
 TEST(TraceCapture, LiveAndReplayedChromeExportsOfAFaultedRunAreEqual) {
@@ -473,8 +536,10 @@ void expect_rejected(const std::string& bytes, const std::string& needle) {
 TEST(TraceCaptureRejection, ValidCaptureParses) {
   const TraceReplayer r = TraceReplayer::from_bytes(small_capture());
   EXPECT_EQ(r.header().version, kTraceVersion);
-  EXPECT_GT(r.events().size(), 0u);
-  EXPECT_EQ(r.events().back().kind, TraceEventKind::kRunComplete);
+  const std::vector<TraceEvent> events = decode_events(r);
+  EXPECT_GT(events.size(), 0u);
+  EXPECT_EQ(r.events().size(), events.size());
+  EXPECT_EQ(events.back().kind, TraceEventKind::kRunComplete);
 }
 
 TEST(TraceCaptureRejection, TooShortInput) {
@@ -646,6 +711,44 @@ TEST(TraceCaptureRejection, ParentCountBeyondTheBytesLeft) {
   expect_rejected(resealed(bytes), "parents need at least 4 bytes");
 }
 
+TEST(TraceCaptureRejection, SlotCountBeyondTheBound) {
+  // Replay consumers size a per-slot model from the header before the first
+  // event, so a declared count past the bound must be refused by the parser,
+  // not reach them as a multi-gigabyte allocation.  Only from_bytes runs
+  // here: nothing sizes a model, at either side of the bound.
+  TraceHeader header;
+  header.num_nodes = 1;
+  const std::vector<TraceEvent> run_complete(1);
+  header.num_slots = kMaxTraceSlots;
+  EXPECT_EQ(TraceReplayer::from_bytes(serialize_trace(header, run_complete))
+                .header()
+                .num_slots,
+            kMaxTraceSlots);
+  for (const std::uint32_t lie : {kMaxTraceSlots + 1, 0xffffffffu}) {
+    header.num_slots = lie;
+    expect_rejected(serialize_trace(header, run_complete),
+                    "slots, more than the");
+  }
+  // The recorder refuses such a cluster, so it never writes a capture the
+  // parser would refuse.
+  EXPECT_THROW(TraceRecorder(1, kMaxTraceSlots + 1, 1, "run",
+                             /*counts_expired=*/false),
+               CheckError);
+}
+
+TEST(TraceCaptureRejection, MalformedLastEventIsRejectedUpFront) {
+  // The replayer decodes events again on every replay, but it validates all
+  // of them first: a defect in the last event refuses the whole capture,
+  // before any consumer could act on the events ahead of it.
+  std::string bytes = small_capture();
+  const std::uint64_t count = TraceReplayer::from_bytes(bytes).events().size();
+  // The last event is the run's end: a kind byte and the time, then the
+  // checksum.
+  bytes[bytes.size() - 8 - 9] = static_cast<char>(0xee);
+  expect_rejected(resealed(bytes), "unknown trace event kind 238 at event " +
+                                       std::to_string(count - 1));
+}
+
 TEST(TraceCaptureRejection, MissingFile) {
   try {
     TraceReplayer::from_file(testing::TempDir() + "ssr_no_such_capture.trace");
@@ -655,6 +758,216 @@ TEST(TraceCaptureRejection, MissingFile) {
               std::string::npos)
         << e.what();
   }
+}
+
+// --- Seeded mutations of real captures ---------------------------------------
+//
+// The parser's contract on hostile bytes: from_bytes accepts or throws
+// CheckError; an accepted capture replays exactly the events it counted; and
+// the RunResult fold and the ledger audit each finish or throw CheckError.
+// Anything else (another exception, a crash, a sanitizer report) fails.
+
+struct CountingConsumer : TraceConsumer {
+  std::uint64_t events = 0;
+  void on_trace_event(const TraceEvent&) override { ++events; }
+};
+
+/// Where each event of a valid capture starts, and how long it is.
+struct EventSpan {
+  std::size_t at = 0;
+  std::size_t size = 0;
+  TraceEventKind kind = TraceEventKind::kRunComplete;
+};
+
+std::vector<EventSpan> event_spans(const std::string& capture) {
+  const TraceReplayer replayer = TraceReplayer::from_bytes(capture);
+  const std::string empty = serialize_trace(replayer.header(), {});
+  std::size_t at = empty.size() - 8;  // events follow the count
+  std::vector<EventSpan> spans;
+  for (const TraceEvent& e : decode_events(replayer)) {
+    const std::size_t size =
+        serialize_trace(replayer.header(), {e}).size() - empty.size();
+    spans.push_back({at, size, e.kind});
+    at += size;
+  }
+  return spans;
+}
+
+/// A deterministic mutant of `clean`; `what` names the mutation.
+std::string mutate(const std::string& clean,
+                   const std::vector<EventSpan>& spans, std::uint64_t& rng,
+                   std::string& what) {
+  std::string bytes = clean;
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(splitmix64(rng) % n);
+  };
+  const EventSpan& event = spans[pick(spans.size())];
+  const std::size_t count_at = spans.front().at - 8;
+  std::vector<EventSpan> with_length;
+  for (const EventSpan& span : spans) {
+    if (span.kind == TraceEventKind::kJobSubmitted ||
+        span.kind == TraceEventKind::kStageSubmitted) {
+      with_length.push_back(span);
+    }
+  }
+  bool reseal = true;
+  switch (pick(8)) {
+    case 0: {
+      const std::size_t at = pick(bytes.size());
+      bytes[at] ^= static_cast<char>(1u << pick(8));
+      reseal = pick(2) == 0;
+      what = "bit flip at " + std::to_string(at);
+      break;
+    }
+    case 1: {
+      bytes.resize(pick(bytes.size()));
+      reseal = bytes.size() >= 16 && pick(2) == 0;
+      what = "truncation to " + std::to_string(bytes.size());
+      break;
+    }
+    case 2: {
+      const std::size_t at = pick(bytes.size() + 1);
+      std::string inserted(1 + pick(16), '\0');
+      for (char& c : inserted) c = static_cast<char>(splitmix64(rng));
+      bytes.insert(at, inserted);
+      reseal = pick(2) == 0;
+      what = std::to_string(inserted.size()) + " bytes inserted at " +
+             std::to_string(at);
+      break;
+    }
+    case 3: {
+      // The event count lies.
+      const std::uint64_t n = spans.size();
+      const std::uint64_t lies[] = {0, n - 1, n + 1, n * 2, ~std::uint64_t{0}};
+      const std::uint64_t lie = lies[pick(5)];
+      put_le(bytes, count_at, lie, 8);
+      what = "event count " + std::to_string(lie);
+      break;
+    }
+    case 4: {
+      // A job's name length or a stage's parent count lies (both sit 17
+      // bytes into their event: kind, time, then two u32s).
+      const std::size_t at = with_length[pick(with_length.size())].at + 17;
+      const std::uint64_t lies[] = {0, 1, 3, 0x7fffffffu, 0xffffffffu};
+      const std::uint64_t lie = lies[pick(5)];
+      put_le(bytes, at, lie, 4);
+      what = "length field at " + std::to_string(at) + " = " +
+             std::to_string(lie);
+      break;
+    }
+    case 5: {
+      // An id, slot or index field of an event takes a hostile value.
+      const std::uint64_t lies[] = {0, 1, 0x7fffffffu, 0xfffffffeu,
+                                    0xffffffffu, kMaxTraceSlots};
+      const std::uint64_t lie = lies[pick(6)];
+      const std::size_t at = event.at + 9 + 4 * pick((event.size - 9) / 4 + 1);
+      if (at + 4 <= event.at + event.size) put_le(bytes, at, lie, 4);
+      what = "field at " + std::to_string(at) + " = " + std::to_string(lie);
+      break;
+    }
+    case 6: {
+      // An event's time becomes NaN, infinite, negative or huge.
+      const double lies[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -1.0,
+                             1e300};
+      const double lie = lies[pick(5)];
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &lie, sizeof(bits));
+      put_le(bytes, event.at + 1, bits, 8);
+      what = "time of event at " + std::to_string(event.at) + " = " +
+             std::to_string(lie);
+      break;
+    }
+    default: {
+      // An event is dropped or repeated, with the count kept true: well
+      // formed, but no run could produce it.
+      const std::string copy = bytes.substr(event.at, event.size);
+      const bool drop = pick(2) == 0;
+      if (drop) {
+        bytes.erase(event.at, event.size);
+      } else {
+        bytes.insert(event.at, copy);
+      }
+      put_le(bytes, count_at, drop ? spans.size() - 1 : spans.size() + 1, 8);
+      what = std::string(drop ? "dropped" : "repeated") + " event at " +
+             std::to_string(event.at);
+      break;
+    }
+  }
+  if (reseal) {
+    bytes = resealed(std::move(bytes));
+    what += ", resealed";
+  }
+  return bytes;
+}
+
+struct MutantTally {
+  int parsed = 0;             ///< accepted by from_bytes
+  int refused_on_replay = 0;  ///< then refused by the fold or the audit
+};
+
+/// Holds `bytes` to the contract above.
+void hold_to_contract(const std::string& bytes, const std::string& what,
+                      MutantTally& tally) {
+  try {
+    std::optional<TraceReplayer> replayer;
+    try {
+      replayer.emplace(TraceReplayer::from_bytes(bytes));
+    } catch (const CheckError&) {
+      return;
+    }
+    ++tally.parsed;
+    CountingConsumer counter;
+    replayer->replay({&counter});
+    EXPECT_EQ(counter.events, replayer->events().size()) << what;
+    bool refused = false;
+    try {
+      ReplayResultBuilder fold;
+      replayer->replay({&fold});
+      if (fold.complete()) (void)fold.result();
+    } catch (const CheckError&) {
+      refused = true;
+    }
+    try {
+      audit::ReplayAuditor auditor;
+      replayer->replay({&auditor});
+    } catch (const CheckError&) {
+      refused = true;
+    }
+    if (refused) ++tally.refused_on_replay;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": escaped as " << e.what();
+  }
+}
+
+void expect_mutants_within_contract(const std::string& clean,
+                                    std::uint64_t seed) {
+  const std::vector<EventSpan> spans = event_spans(clean);
+  ASSERT_GT(spans.size(), 2u);
+  constexpr int kMutants = 1500;
+  MutantTally tally;
+  std::uint64_t rng = seed;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string what;
+    const std::string bytes = mutate(clean, spans, rng, what);
+    hold_to_contract(bytes, what, tally);
+  }
+  // Resealed lies parse, so the consumers meet hostile streams too, and
+  // their own checks refuse some.
+  EXPECT_GT(tally.parsed, kMutants / 10);
+  EXPECT_LT(tally.parsed, kMutants);
+  EXPECT_GT(tally.refused_on_replay, 0);
+}
+
+TEST(TraceCaptureMutation, SmallCaptureMutantsStayWithinTheContract) {
+  expect_mutants_within_contract(small_capture(), 0x5eed0001);
+}
+
+TEST(TraceCaptureMutation, CommittedFixtureMutantsStayWithinTheContract) {
+  expect_mutants_within_contract(
+      slurp(std::string(SSR_GOLDEN_DIR) + "/failure_recovery.trace"),
+      0x5eed0002);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "ssr/audit/trace_replay_auditor.h"
 #include "ssr/common/check.h"
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
 
   try {
     const ssr::TraceReplayer replayer =
-        ssr::TraceReplayer::from_bytes(capture);
+        ssr::TraceReplayer::from_bytes(std::move(capture));
     ssr::ReplayResultBuilder builder;
     ssr::audit::ReplayAuditor auditor;
     replayer.replay({&builder, &auditor});
