@@ -71,6 +71,22 @@ TEST(GoldenReplay, PolicyZooScenarios) {
   }
 }
 
+// The static and timeout strawmen (Sec. III-A), each also under node
+// failures that break their held reservations.
+TEST(GoldenReplay, StrawmanHooks) {
+  const GoldenScenario s = strawman_scenario();
+  std::vector<RunResult> results;
+  const std::string digest = closed_digest(s, &results);
+
+  // Every pass holds slots idle, and the faulted passes lose some of them.
+  ASSERT_EQ(results.size(), 4u);
+  for (const RunResult& run : results) EXPECT_GT(run.reserved_idle_time, 0.0);
+  EXPECT_GT(results[1].recovery.reservations_broken, 0u);
+  EXPECT_GT(results[3].recovery.reservations_broken, 0u);
+
+  compare_golden(s.file, digest);
+}
+
 TEST(GoldenReplay, FailureRecoveryShapedScenario) {
   const GoldenScenario s = failure_recovery_scenario();
   std::vector<RunResult> results;
