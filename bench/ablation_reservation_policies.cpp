@@ -52,11 +52,11 @@ int main(int argc, char** argv) {
       {"none (work conserving)",
        [] { return std::unique_ptr<ReservationHook>{}; }},
       {"static, 10 slots",
-       [] { return std::make_unique<StaticReservationHook>(10, 10); }},
+       [] { return make_static_reservation_hook(10, 10); }},
       {"static, 20 slots",
-       [] { return std::make_unique<StaticReservationHook>(20, 10); }},
+       [] { return make_static_reservation_hook(20, 10); }},
       {"static, 40 slots",
-       [] { return std::make_unique<StaticReservationHook>(40, 10); }},
+       [] { return make_static_reservation_hook(40, 10); }},
       {"timeout, 3 s",
        [] { return std::make_unique<TimeoutReservationHook>(3.0); }},
       {"timeout, 15 s",

@@ -7,61 +7,15 @@
 
 namespace ssr {
 
-// --- StaticReservationHook ----------------------------------------------------
-
-StaticReservationHook::StaticReservationHook(std::uint32_t reserved_slots,
-                                             int class_min_priority)
-    : target_(reserved_slots), class_min_priority_(class_min_priority) {}
-
-void StaticReservationHook::replenish(Engine& engine) {
-  if (class_slots_.size() >= target_) return;
-  // Walk a snapshot: reserving mutates the idle set.
-  const SlotSet idle = engine.cluster().idle_slots();
-  for (SlotId s : idle) {
-    if (class_slots_.size() >= target_) break;
-    if (engine.cluster().slot(s).state() != SlotState::Idle) continue;
-    Reservation r;
-    r.job = kClassJob;
-    // Any job of the class (priority >= class_min_priority) passes the
-    // "strictly higher priority" approval test against this value.
-    r.priority = class_min_priority_ - 1;
-    r.deadline = kTimeInfinity;
-    class_slots_.insert(s);
-    engine.reserve_slot(s, r);
-  }
+std::unique_ptr<TableDrivenHook> make_static_reservation_hook(
+    std::uint32_t reserved_slots, int class_min_priority) {
+  TableDrivenConfig table;
+  table.major_cycle = 1.0;
+  table.intervals = {{0.0, 1.0}};
+  table.reserved_slots = reserved_slots;
+  table.class_min_priority = class_min_priority;
+  return std::make_unique<TableDrivenHook>(std::move(table));
 }
-
-void StaticReservationHook::on_task_finished(Engine& engine,
-                                             const TaskFinishInfo&) {
-  replenish(engine);
-}
-
-void StaticReservationHook::on_task_killed(Engine& engine,
-                                           const TaskFinishInfo&) {
-  replenish(engine);
-}
-
-void StaticReservationHook::on_slot_idle(Engine& engine, SlotId) {
-  replenish(engine);
-}
-
-void StaticReservationHook::on_stage_submitted(Engine& engine, StageId) {
-  // First chance to establish the carve-out once work exists.
-  replenish(engine);
-}
-
-void StaticReservationHook::on_slot_failed(Engine& engine, SlotId slot) {
-  // A carve-out slot died; re-establish the target from surviving capacity.
-  if (class_slots_.erase(slot) > 0) replenish(engine);
-}
-
-void StaticReservationHook::on_task_started(Engine& engine, TaskId,
-                                            SlotId slot) {
-  // A class job consumed one of the carve-out slots; top it back up.
-  if (class_slots_.erase(slot) > 0) replenish(engine);
-}
-
-// --- TimeoutReservationHook ---------------------------------------------------
 
 TimeoutReservationHook::TimeoutReservationHook(SimDuration timeout)
     : timeout_(timeout) {
@@ -76,8 +30,6 @@ void TimeoutReservationHook::on_task_finished(Engine& engine,
   r.job = job;
   r.priority = engine.graph(job).priority();
   r.deadline = engine.sim().now() + timeout_;
-  held_[info.slot] = job;
-  by_job_[job].insert(info.slot);
   engine.reserve_slot(info.slot, r);
 }
 
@@ -86,40 +38,15 @@ void TimeoutReservationHook::on_task_killed(Engine& engine,
   on_task_finished(engine, info);
 }
 
-void TimeoutReservationHook::on_slot_idle(Engine&, SlotId slot) {
-  // Reached when a hold expires: reconcile the bookkeeping.
-  auto it = held_.find(slot);
-  if (it != held_.end()) {
-    by_job_[it->second].erase(slot);
-    held_.erase(it);
-  }
-}
-
-void TimeoutReservationHook::on_slot_failed(Engine&, SlotId slot) {
-  auto it = held_.find(slot);
-  if (it != held_.end()) {
-    by_job_[it->second].erase(slot);
-    held_.erase(it);
-  }
-}
-
-void TimeoutReservationHook::on_task_started(Engine&, TaskId, SlotId slot) {
-  auto it = held_.find(slot);
-  if (it != held_.end()) {
-    by_job_[it->second].erase(slot);
-    held_.erase(it);
-  }
-}
-
 void TimeoutReservationHook::on_job_finished(Engine& engine, JobId job) {
-  auto it = by_job_.find(job);
-  if (it == by_job_.end()) return;
-  const std::vector<SlotId> slots(it->second.begin(), it->second.end());
-  for (SlotId s : slots) held_.erase(s);
-  by_job_.erase(it);
-  for (SlotId s : slots) {
-    if (engine.cluster().slot(s).state() == SlotState::ReservedIdle &&
-        engine.cluster().slot(s).reservation()->job == job) {
+  // Copy: every release changes the Cluster's list.
+  const std::vector<SlotId> held = engine.cluster().reserved_idle_slots_of(job);
+  for (SlotId s : held) {
+    // A release offers its slot, and a task that offer starts may claim a
+    // later slot of the copy for a higher-priority job.
+    const Slot& slot = engine.cluster().slot(s);
+    if (slot.state() == SlotState::ReservedIdle &&
+        slot.reservation()->job == job) {
       engine.release_reservation(s);
     }
   }

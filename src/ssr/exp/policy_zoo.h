@@ -31,9 +31,9 @@ const char* zoo_policy_name(ZooPolicy policy);
 /// Inverse of zoo_policy_name; nullopt for unknown names.
 std::optional<ZooPolicy> parse_zoo_policy(const std::string& name);
 
-/// The default timetable the zoo's table-driven baseline runs: a 120 s major
-/// cycle whose first half is a reservation window holding 10% of the
-/// cluster (at least one slot) for jobs with priority >= 1.
+/// The default timetable the zoo's table-driven baseline runs: a 60 s major
+/// cycle whose window [0, 45) (75% duty) holds a fifth of the cluster's
+/// slots (at least one) for jobs with priority >= 1.
 TableDrivenConfig default_table_config(const ClusterSpec& cluster);
 
 /// Wire `options` to run under `policy`: clears any previous policy choice

@@ -1,5 +1,6 @@
 #include "ssr/sched/policies/table_driven.h"
 
+#include <climits>
 #include <cmath>
 #include <vector>
 
@@ -10,7 +11,12 @@ namespace ssr {
 
 TableDrivenHook::TableDrivenHook(TableDrivenConfig config)
     : config_(std::move(config)) {
-  SSR_CHECK_MSG(config_.major_cycle > 0.0, "major cycle must be positive");
+  SSR_CHECK_MSG(config_.major_cycle > 0.0 &&
+                    config_.major_cycle < kTimeInfinity,
+                "major cycle must be positive and finite");
+  SSR_CHECK_MSG(!config_.intervals.empty(), "timetable has no windows");
+  SSR_CHECK_MSG(config_.class_min_priority > INT_MIN,
+                "class_min_priority - 1 must be representable");
   SimTime prev_end = 0.0;
   for (const TableInterval& w : config_.intervals) {
     SSR_CHECK_MSG(w.start >= prev_end,
@@ -20,6 +26,9 @@ TableDrivenHook::TableDrivenHook(TableDrivenConfig config)
                   "table window must lie inside the major cycle");
     prev_end = w.end;
   }
+  holds_forever_ = config_.intervals.size() == 1 &&
+                   config_.intervals.front().start == 0.0 &&
+                   config_.intervals.front().end == config_.major_cycle;
 }
 
 SimTime TableDrivenHook::phase_of(SimTime t) const {
@@ -49,7 +58,6 @@ SimTime TableDrivenHook::window_end(SimTime t) const {
 }
 
 SimTime TableDrivenHook::next_window_start_after(SimTime t) const {
-  SSR_CHECK_MSG(!config_.intervals.empty(), "timetable has no windows");
   const SimTime phase = phase_of(t);
   const SimTime cycle_base = t - phase;
   for (const TableInterval& w : config_.intervals) {
@@ -61,13 +69,15 @@ SimTime TableDrivenHook::next_window_start_after(SimTime t) const {
 }
 
 void TableDrivenHook::replenish(Engine& engine) {
-  // Go quiet once every submitted job finished: a 100%-duty table would
-  // otherwise re-reserve at each expiry forever and drain() would never
-  // terminate.  A job submitted later restarts us via on_stage_submitted.
-  if (engine.all_jobs_finished()) return;
   const SimTime now = engine.sim().now();
-  if (!in_window(now) || held_.size() >= config_.reserved_slots) return;
-  const SimTime deadline = window_end(now);
+  if (held_.size() >= config_.reserved_slots || !in_window(now)) return;
+  // A periodic table goes quiet once every submitted job finished: a
+  // 100%-duty table would otherwise re-reserve at each expiry forever and
+  // drain() would never terminate.  A job submitted later restarts it via
+  // on_stage_submitted.  A one-window table needs no such guard: its
+  // reservations never expire.
+  if (!holds_forever_ && engine.all_jobs_finished()) return;
+  const SimTime deadline = holds_forever_ ? kTimeInfinity : window_end(now);
   // Walk a snapshot: reserving mutates the idle set.
   const SlotSet idle = engine.cluster().idle_slots();
   for (SlotId s : idle) {
@@ -87,7 +97,7 @@ void TableDrivenHook::replenish(Engine& engine) {
 }
 
 void TableDrivenHook::arm_wakeup(Engine& engine) {
-  if (wakeup_armed_) return;
+  if (holds_forever_ || wakeup_armed_) return;
   wakeup_armed_ = true;
   const SimTime at = next_window_start_after(engine.sim().now());
   engine.sim().schedule_at(at, EventBand::kInternal, [this, &engine] {

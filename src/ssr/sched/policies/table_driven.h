@@ -17,6 +17,10 @@
 // wakeups, and every reservation carries the absolute end of its window as
 // the deadline, so the engine's ordinary expiry machinery tears the
 // timetable down on time even if the hook never runs again.
+//
+// A table whose single window covers the whole major cycle is the static
+// carve-out of Sec. III-A.1 (core/naive_policies.h): its reservations never
+// expire and it arms no wakeups.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +54,15 @@ struct TableDrivenConfig {
   /// Jobs with priority >= this belong to the protected class and may claim
   /// the windowed slots (the reservations are tagged class_min_priority - 1,
   /// so the standard strictly-higher-priority override admits exactly the
-  /// class).
+  /// class).  Must exceed INT_MIN.
   int class_min_priority = 1;
 };
 
 class TableDrivenHook : public ReservationHook {
  public:
-  /// Validates the timetable (positive cycle; windows sorted, disjoint,
-  /// inside the cycle); throws CheckError on a malformed table.
+  /// Validates the timetable (positive finite cycle; at least one window;
+  /// windows sorted, disjoint, inside the cycle; class_min_priority - 1
+  /// representable); throws CheckError on a malformed table.
   explicit TableDrivenHook(TableDrivenConfig config);
 
   void on_task_finished(Engine& engine, const TaskFinishInfo& info) override;
@@ -87,28 +92,30 @@ class TableDrivenHook : public ReservationHook {
   /// Slots currently held ReservedIdle for the class.
   std::size_t held_slots() const { return held_.size(); }
 
-  const TableDrivenConfig& table() const { return config_; }
-
   /// Sentinel owner of the windowed reservations (no real job; approval
-  /// works through the reservation priority, as with
-  /// StaticReservationHook::kClassJob).
+  /// works through the reservation priority).
   static constexpr JobId kTableJob{0xFFFFFFFEu};
 
  private:
   /// Cycle-relative phase of `t`: t mod major_cycle.
   SimTime phase_of(SimTime t) const;
 
-  /// Top the held set up to reserved_slots if `t` is inside a window;
+  /// Top the held set up to reserved_slots if now is inside a window;
   /// no-op outside windows.
   void replenish(Engine& engine);
 
   /// Ensure a wakeup is pending for the next window start.  The chain
   /// re-arms itself while unfinished jobs exist and goes quiet otherwise,
-  /// so drain() terminates; any later hook callback re-arms it.
+  /// so drain() terminates; any later hook callback re-arms it.  A
+  /// one-window table arms nothing.
   void arm_wakeup(Engine& engine);
 
   TableDrivenConfig config_;
-  std::set<SlotId> held_;  ///< currently ReservedIdle for the class
+  /// One window covering the whole cycle: reservations are held forever.
+  bool holds_forever_ = false;
+  /// Currently ReservedIdle for the class.  The hook's only way to tell
+  /// whether a failed or claimed slot was one of its own.
+  std::set<SlotId> held_;
   bool wakeup_armed_ = false;
 };
 

@@ -202,9 +202,8 @@ class Cluster {
 
   /// Position of `job` in the dense per-job table.  Engine jobs count up
   /// from 0, while hooks that hold class-wide carve-outs reserve under
-  /// sentinel ids counting down from 2^32 - 1 (StaticReservationHook::
-  /// kClassJob, TableDrivenHook::kTableJob); interleaving the two ends
-  /// keeps both dense.
+  /// sentinel ids counting down from 2^32 - 1 (TableDrivenHook::kTableJob);
+  /// interleaving the two ends keeps both dense.
   static std::size_t job_index(JobId job) {
     return job.v < 0x80000000u ? 2 * std::size_t{job.v}
                                : 2 * std::size_t{~job.v} + 1;

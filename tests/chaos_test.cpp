@@ -128,7 +128,7 @@ std::unique_ptr<ReservationHook> make_hook(HookKind kind) {
       return std::make_unique<ReservationManager>(cfg);
     }
     case HookKind::kStatic:
-      return std::make_unique<StaticReservationHook>(1, 1);
+      return make_static_reservation_hook(1, 1);
     case HookKind::kTimeout:
       return std::make_unique<TimeoutReservationHook>(15.0);
     case HookKind::kCount:

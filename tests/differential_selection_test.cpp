@@ -111,7 +111,7 @@ std::unique_ptr<ReservationHook> make_hook(const TrialParams& p) {
       return std::make_unique<ReservationManager>(cfg);
     }
     case HookKind::kStatic:
-      return std::make_unique<StaticReservationHook>(p.static_slots, 1);
+      return make_static_reservation_hook(p.static_slots, 1);
     case HookKind::kTimeout:
       return std::make_unique<TimeoutReservationHook>(p.timeout);
     case HookKind::kCount:

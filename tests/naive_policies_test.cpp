@@ -1,5 +1,6 @@
-// Tests for the Sec. III-A strawman policies: static carve-outs and
-// timeout-based (Spark dynamic-allocation style) reservations.
+// Tests for the Sec. III-A strawman policies: static carve-outs (one-window
+// table-driven reservations) and timeout-based (Spark dynamic-allocation
+// style) reservations.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +17,7 @@ TEST(StaticReservation, CarveOutBlocksLowPriorityJobs) {
   // low-priority job can only ever use the 2 unreserved slots.
   Engine engine(SchedConfig{}, 1, 4, 1);
   engine.set_reservation_hook(
-      std::make_unique<StaticReservationHook>(2, /*class_min_priority=*/10));
+      make_static_reservation_hook(2, /*class_min_priority=*/10));
   const JobId lo = engine.submit(
       JobBuilder("lo").priority(0).stage(4, fixed_duration(10.0)).build());
   engine.run();
@@ -26,8 +27,8 @@ TEST(StaticReservation, CarveOutBlocksLowPriorityJobs) {
 
 TEST(StaticReservation, ClassJobsUseTheCarveOut) {
   Engine engine(SchedConfig{}, 1, 4, 1);
-  auto hook = std::make_unique<StaticReservationHook>(2, 10);
-  StaticReservationHook* h = hook.get();
+  auto hook = make_static_reservation_hook(2, 10);
+  TableDrivenHook* h = hook.get();
   engine.set_reservation_hook(std::move(hook));
   const JobId lo = engine.submit(
       JobBuilder("lo").priority(0).stage(2, fixed_duration(50.0)).build());
@@ -47,7 +48,7 @@ TEST(StaticReservation, ClassJobsUseTheCarveOut) {
 
 TEST(StaticReservation, OverProvisioningWastesSlots) {
   Engine engine(SchedConfig{}, 1, 4, 1);
-  engine.set_reservation_hook(std::make_unique<StaticReservationHook>(3, 10));
+  engine.set_reservation_hook(make_static_reservation_hook(3, 10));
   engine.submit(
       JobBuilder("lo").priority(0).stage(2, fixed_duration(10.0)).build());
   engine.run();
@@ -56,8 +57,36 @@ TEST(StaticReservation, OverProvisioningWastesSlots) {
   // whole time: 60 slot-seconds of waste.
   EXPECT_DOUBLE_EQ(engine.cluster().total_reserved_idle_time(), 60.0);
   EXPECT_DOUBLE_EQ(
-      engine.cluster().reserved_idle_time_of(StaticReservationHook::kClassJob),
+      engine.cluster().reserved_idle_time_of(TableDrivenHook::kTableJob),
       60.0);
+}
+
+TEST(StaticReservation, OneWindowTableHoldsForever) {
+  // Any table whose single window covers its whole cycle is a static
+  // carve-out: the held slots never expire at the cycle boundary and no
+  // wakeup outlives the work, so the run ends with the last task.
+  TableDrivenConfig table;
+  table.major_cycle = 60.0;
+  table.intervals = {{0.0, 60.0}};
+  table.reserved_slots = 2;
+  table.class_min_priority = 10;
+  Engine engine(SchedConfig{}, 1, 4, 1);
+  engine.set_reservation_hook(std::make_unique<TableDrivenHook>(table));
+  engine.submit(
+      JobBuilder("lo").priority(0).stage(4, fixed_duration(10.0)).build());
+  const JobId hi = engine.submit(JobBuilder("hi")
+                                     .priority(10)
+                                     .submit_at(1.0)
+                                     .stage(2, fixed_duration(5.0))
+                                     .build());
+  engine.run();
+  engine.cluster().settle(engine.sim().now());
+  // lo serializes on 2 slots (0..20); hi runs on the carve-out 1..6.
+  EXPECT_DOUBLE_EQ(engine.jct(hi), 5.0);
+  EXPECT_DOUBLE_EQ(engine.sim().now(), 20.0);
+  // 2 slots x 20 s, less hi's 2 x 5 s on them.
+  EXPECT_DOUBLE_EQ(engine.cluster().total_reserved_idle_time(), 30.0);
+  EXPECT_EQ(engine.sim().processed_events(), 8u);
 }
 
 TEST(TimeoutReservation, HoldsSlotUntilTimeout) {

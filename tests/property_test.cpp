@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -733,6 +734,17 @@ TEST(TableTimetableProperty, WindowsNeverOverlapAndCycleWraps) {
     outside.intervals.push_back(
         {cycle + 0.25, cycle + 0.5});
     EXPECT_THROW(TableDrivenHook{outside}, CheckError);
+    // A wakeup at +inf would end the run there.
+    TableDrivenConfig endless = config;
+    endless.major_cycle = kTimeInfinity;
+    EXPECT_THROW(TableDrivenHook{endless}, CheckError);
+    // The reservation priority class_min_priority - 1 would overflow.
+    TableDrivenConfig lowest_class = config;
+    lowest_class.class_min_priority = std::numeric_limits<int>::min();
+    EXPECT_THROW(TableDrivenHook{lowest_class}, CheckError);
+    TableDrivenConfig no_windows = config;
+    no_windows.intervals.clear();
+    EXPECT_THROW(TableDrivenHook{no_windows}, CheckError);
   }
 }
 

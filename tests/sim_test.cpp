@@ -307,8 +307,8 @@ TEST(SlotModel, RandomTransitionsMatchCluster) {
   // Cluster accrues when both see the same legal transitions: the RunResult
   // fold and the audit compare the two with ==.
   constexpr std::uint32_t kSlots = 6;
-  // Owners include a hook sentinel id near 2^32
-  // (StaticReservationHook::kClassJob).
+  // Owners include the top of the range hook sentinel ids count down from
+  // (TableDrivenHook::kTableJob is 2^32 - 2).
   const std::vector<JobId> owners = {JobId{0}, JobId{1}, JobId{2},
                                      JobId{0xFFFFFFFFu}};
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
