@@ -33,33 +33,17 @@ std::string exact(double value) {
 InvariantAuditor::InvariantAuditor(AuditOptions options) : options_(options) {}
 
 void InvariantAuditor::attach(Engine& engine) {
-  ledger(engine);  // size the ledger before any event fires
+  replay_.on_trace_begin(header_for(engine));
   engine.add_observer(this);
 }
 
-SlotLedger& InvariantAuditor::ledger(const Engine& engine) {
-  if (!begun_) {
-    TraceHeader header;
-    header.num_slots = engine.cluster().num_slots();
-    replay_.on_trace_begin(header);
-    begun_ = true;
-  }
-  return replay_.ledger();
-}
-
-const std::vector<Violation>& InvariantAuditor::violations() const {
-  static const std::vector<Violation> kEmpty;
-  return begun_ ? replay_.ledger().violations() : kEmpty;
-}
-
 void InvariantAuditor::emit(const Engine& engine, const TraceEvent& event) {
-  SlotLedger& lg = ledger(engine);
   replay_.on_trace_event(event);
   if (event.kind == TraceEventKind::kRunComplete) {
-    check_run_complete(engine, lg, event.time);
+    check_run_complete(engine, event.time);
   }
   ++events_;
-  cross_check(engine, lg);
+  cross_check(engine);
   if (options_.throw_on_violation && violations().size() > reported_) {
     const Violation& first = violations()[reported_];
     reported_ = violations().size();
@@ -68,7 +52,7 @@ void InvariantAuditor::emit(const Engine& engine, const TraceEvent& event) {
   reported_ = violations().size();
 }
 
-void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
+void InvariantAuditor::cross_check(const Engine& engine) {
   const Cluster& cluster = engine.cluster();
   const SimTime now = engine.sim().now();
   std::uint32_t idle = 0;
@@ -78,10 +62,8 @@ void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
   for (std::uint32_t i = 0; i < cluster.num_slots(); ++i) {
     const SlotId id{i};
     const SlotState actual = cluster.slot(id).state();
-    const SlotState seen = lg.slot_state(id);
+    const SlotState seen = replay_.model().at(id).state;
     if (actual != seen) {
-      // Bypass the ledger event API: record directly via a release/claim
-      // would double-count, so synthesize the violation here.
       Violation v;
       v.invariant = kStateMismatch;
       v.time = now;
@@ -89,7 +71,7 @@ void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
       v.expected = std::string("observed-event state ") +
                    slot_state_name(seen);
       v.actual = std::string("cluster state ") + slot_state_name(actual);
-      lg.record(v);
+      replay_.record(v);
     }
     switch (actual) {
       case SlotState::Idle:
@@ -141,7 +123,7 @@ void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
                  " reserved-index=" + (in_reserved ? "yes" : "no") +
                  " job-index=" + (in_job ? "yes" : "no") +
                  " priority-buckets=" + (buckets_ok ? "ok" : "wrong");
-      lg.record(v);
+      replay_.record(v);
     }
   }
   const std::uint32_t total = idle + busy + reserved + dead;
@@ -160,16 +142,15 @@ void InvariantAuditor::cross_check(const Engine& engine, SlotLedger& lg) {
                str(dead) + " (idle index " + str(cluster.idle_slots().size()) +
                ", reserved index " +
                str(cluster.reserved_idle_slots().size()) + ")";
-    lg.record(v);
+    replay_.record(v);
   }
 }
 
-void InvariantAuditor::check_run_complete(const Engine& engine, SlotLedger& lg,
-                                          SimTime now) {
+void InvariantAuditor::check_run_complete(const Engine& engine, SimTime now) {
   const Cluster& cluster = engine.cluster();
-  const SlotModel& model = lg.model();
-  // Engine::drain settles the cluster before notifying, and the ledger
-  // settled its model on this event, so both describe [0, now].  Both accrue
+  const SlotModel& model = replay_.model();
+  // Engine::drain settles the cluster before notifying, and replay_ settled
+  // its model on this event, so both describe [0, now].  Both accrue
   // the same transitions with the same expression and sum the slots in the
   // same order, so any difference at all is a divergence.
   const auto check_total = [&](const char* what, double cluster_total,
@@ -181,7 +162,7 @@ void InvariantAuditor::check_run_complete(const Engine& engine, SlotLedger& lg,
       v.subject = what;
       v.expected = "cluster total " + exact(cluster_total);
       v.actual = "event-stream total " + exact(observed);
-      lg.record(v);
+      replay_.record(v);
     }
   };
   check_total("busy slot-seconds", cluster.total_busy_time(),
@@ -205,7 +186,7 @@ void InvariantAuditor::check_run_complete(const Engine& engine, SlotLedger& lg,
         v.expected = "every submitted stage complete at end of run";
         v.actual = str(st->finished_count()) + "/" + str(st->parallelism()) +
                    " tasks finished";
-        lg.record(v);
+        replay_.record(v);
       }
     }
   }

@@ -1,26 +1,25 @@
 // Runtime invariant auditor for the scheduling engine.
 //
 // InvariantAuditor attaches to an Engine as a TraceStream: every callback
-// becomes the same TraceEvent a capture would hold, the event drives the
-// SlotLedger through ReplayAuditor (the one event -> ledger mapping, shared
-// with replayed captures), and the auditor adds what only a live engine can
-// answer.  It validates, on every event, the state-machine invariants the
-// paper states informally (see DESIGN.md §7 for the invariant -> paper
-// mapping):
+// becomes the same TraceEvent a capture would hold, the event goes to a
+// ReplayAuditor (the same checks a replayed capture gets), and the auditor
+// adds what only a live engine can answer.  It validates, on every event,
+// the state-machine invariants the paper states informally (see DESIGN.md
+// §7 for the invariant -> paper mapping):
 //
 //  * global slot conservation: idle + busy + reserved-idle == capacity, and
 //    the cluster's idle/reserved index sets agree with per-slot states;
 //  * the reserved-slot priority rule: a reserved slot is only ever taken by
 //    the reserving job or a strictly higher-priority job (Alg. 1);
 //  * reservation lifecycle legality: reserve -> {claim | expire-at-deadline |
-//    release}, never double-claim, never claim past the deadline 𝒟;
+//    release}, never claim past the deadline 𝒟;
 //  * event-time monotonicity across the whole observer stream;
 //  * barrier ordering: no downstream-phase task starts before every upstream
 //    task finished;
 //  * slot-time accounting: the busy / reserved-idle / dead slot-seconds the
-//    ledger's SlotModel accrues from the event stream (the model and the
-//    stream the RunResult fold uses) equal the cluster's own accounting at
-//    end of run, bit for bit;
+//    ReplayAuditor's SlotModel accrues from the event stream (the model and
+//    the stream the RunResult fold uses) equal the cluster's own accounting
+//    at end of run, bit for bit;
 //  * failure safety: no task starts, claim, or reservation ever touches a
 //    Dead slot, and no logical task is lost — at end of run every submitted
 //    stage is complete even when fault injection killed attempts and
@@ -36,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "ssr/audit/slot_ledger.h"
 #include "ssr/audit/trace_replay_auditor.h"
 #include "ssr/audit/violation.h"
 #include "ssr/common/ids.h"
@@ -55,14 +53,17 @@ class InvariantAuditor : public TraceStream {
  public:
   explicit InvariantAuditor(AuditOptions options = {});
 
-  /// Register with `engine` (non-owning; the auditor must outlive run()).
-  /// Must be called before Engine::run().
+  /// Start the audit of `engine`'s cluster and register with it
+  /// (non-owning; the auditor must outlive run()).  Must be called before
+  /// Engine::run(); an event that arrives before it throws CheckError.
   void attach(Engine& engine);
 
   // --- Results --------------------------------------------------------------
 
   bool clean() const { return violations().empty(); }
-  const std::vector<Violation>& violations() const;
+  const std::vector<Violation>& violations() const {
+    return replay_.violations();
+  }
   /// Human-readable multi-line report; empty when clean.
   std::string report() const { return format_report(violations()); }
   std::uint64_t events_audited() const { return events_; }
@@ -74,14 +75,11 @@ class InvariantAuditor : public TraceStream {
   void emit(const Engine& engine, const TraceEvent& event) override;
 
  private:
-  /// The ledger, sized from `engine` on first use.
-  SlotLedger& ledger(const Engine& engine);
-  void check_run_complete(const Engine& engine, SlotLedger& lg, SimTime now);
-  void cross_check(const Engine& engine, SlotLedger& lg);
+  void check_run_complete(const Engine& engine, SimTime now);
+  void cross_check(const Engine& engine);
 
   AuditOptions options_;
   ReplayAuditor replay_;
-  bool begun_ = false;  ///< replay_ has seen on_trace_begin
   std::uint64_t events_ = 0;
   std::size_t reported_ = 0;  ///< violations already thrown for
 };

@@ -1,41 +1,65 @@
-// The one mapping from TraceEvents to SlotLedger calls.
+// The invariant audit of one event stream.
 //
-// ReplayAuditor runs the invariant audit over an event stream with no
-// Engine: each TraceEvent maps onto one SlotLedger call (claim-vs-start
-// split on the ledger's own reserved state, task_failed folded onto
-// on_kill, stage parents from the captured barrier lists, run completion
-// settling the ledger's slot-time accounting).  It audits a
-// capture through TraceReplayer, and InvariantAuditor forwards every live
-// event to one, adding the cross-checks against the Engine.  A capture of a
-// clean run must replay clean; a capture that trips the ledger names the
-// violated invariant — the replay-verify CI step uses this to re-certify
-// committed fixtures without re-simulating them.
+// ReplayAuditor checks each TraceEvent against the transitions the paper's
+// model allows and records a Violation for every one it forbids:
+// reservations may only be placed on idle slots, claimed by the reserving
+// job or a strictly higher priority, and must end exactly at their deadline;
+// tasks may only start after their stage's barrier cleared; event time never
+// moves backwards.  It then moves its SlotModel (sim/slot_model.h) anyway, so
+// one bug does not cascade into dozens of spurious reports.  A start on a
+// slot the model holds reserved is a claim, task_failed is the same slot
+// transition as a kill, stage parents come from the captured barrier lists,
+// and run completion settles the model's slot-time accounting.
+//
+// It needs no Engine.  It audits a capture through TraceReplayer, the
+// seeded-bug tests feed it illegal event sequences and assert the exact
+// invariant id, and InvariantAuditor feeds it every live event and adds the
+// cross-checks against the Engine.  A capture of a clean run must replay
+// clean; a capture that trips the audit names the violated invariant — the
+// replay-verify CI step uses this to re-certify committed fixtures without
+// re-simulating them.
 #pragma once
 
 #include <map>
-#include <optional>
+#include <set>
+#include <utility>
+#include <vector>
 
-#include "ssr/audit/slot_ledger.h"
+#include "ssr/audit/violation.h"
 #include "ssr/common/ids.h"
+#include "ssr/common/time.h"
 #include "ssr/metrics/trace_capture.h"
+#include "ssr/sim/slot_model.h"
 
 namespace ssr::audit {
 
 class ReplayAuditor : public TraceConsumer {
  public:
+  /// Starts a fresh audit of a `header.num_slots`-slot cluster.
   void on_trace_begin(const TraceHeader& header) override;
+  /// Validates the event's transition, records a violation for each rule it
+  /// breaks, then applies it.  Throws CheckError before on_trace_begin and
+  /// for a slot id outside the model.
   void on_trace_event(const TraceEvent& event) override;
 
-  /// Valid after on_trace_begin (replay() fires it first).
-  const SlotLedger& ledger() const;
-  SlotLedger& ledger();
+  bool clean() const { return violations_.empty(); }
+  const std::vector<Violation>& violations() const { return violations_; }
+  const SlotModel& model() const { return model_; }
 
-  bool clean() const { return ledger().clean(); }
+  /// Append an externally-detected violation (InvariantAuditor's cluster
+  /// cross-checks report through the same list as the event checks).
+  void record(Violation violation) {
+    violations_.push_back(std::move(violation));
+  }
 
  private:
-  std::optional<SlotLedger> ledger_;
+  SlotModel model_;
+  std::set<StageId> submitted_stages_;
+  std::set<StageId> finished_stages_;
   /// Job priorities captured at submission (the claim check's input).
   std::map<JobId, int> priority_;
+  SimTime last_time_ = kTimeZero;
+  std::vector<Violation> violations_;
 };
 
 }  // namespace ssr::audit

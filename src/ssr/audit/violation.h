@@ -27,8 +27,6 @@ inline constexpr const char* kStateMismatch = "slot-state-mismatch";
 inline constexpr const char* kReservedSlotPriority = "reserved-slot-priority";
 /// reserve() on a slot that is not Idle.
 inline constexpr const char* kDoubleReserve = "reservation-double-reserve";
-/// A claim on a slot with no active reservation (double-claim).
-inline constexpr const char* kDoubleClaim = "reservation-double-claim";
 /// A claim after the reservation's deadline 𝒟 passed.
 inline constexpr const char* kExpiredClaim = "reservation-expired-claim";
 /// release() on a slot with no active reservation.
@@ -40,8 +38,9 @@ inline constexpr const char* kTimeMonotonic = "event-time-monotonic";
 /// A stage was submitted (or a task started) before every upstream task
 /// finished, or a stage was submitted/finished twice.
 inline constexpr const char* kBarrierOrdering = "barrier-ordering";
-/// Task attempt state machine broken: double start, finish/kill of a task
-/// that is not running on the slot, start on a busy slot.
+/// Task attempt state machine broken: a start on a busy slot (which is also
+/// how a second claim of one reservation shows), or a finish/kill of a task
+/// that is not running on the slot.
 inline constexpr const char* kTaskLifecycle = "task-lifecycle";
 /// The busy / reserved-idle / dead slot-seconds the event stream implies
 /// differ, in any bit, from the cluster's accounting (the RunResult fold

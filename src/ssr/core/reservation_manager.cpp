@@ -218,10 +218,8 @@ void ReservationManager::handle_phase_slot(Engine& engine,
   if (!deadline) return;  // deadline already passed — reserving is pointless
 
   const std::uint32_t m = info.stage_parallelism;
-  std::optional<std::uint32_t> n;
-  if (config_.respect_parallelism_hints) {
-    n = graph.downstream_parallelism(sid.index);
-  }
+  const std::optional<std::uint32_t> n =
+      graph.downstream_parallelism(sid.index);
   const std::uint32_t child_index = *graph.first_child(sid.index);
   const StageId for_stage = graph.stage_id(child_index);
 

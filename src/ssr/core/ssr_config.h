@@ -42,11 +42,6 @@ struct SsrConfig {
   /// Turn reserved-but-idle slots into straggler mitigators (Sec. IV-C).
   bool enable_straggler_mitigation = false;
 
-  /// Honor a priori degree-of-parallelism knowledge when the job provides it
-  /// (Case-2 of Algorithm 1).  When false every job is treated as Case-1
-  /// (assume the downstream phase mirrors the current one).
-  bool respect_parallelism_hints = true;
-
   /// Only jobs with priority >= this value make reservations.  Defaults to
   /// "every job" — the paper's general mechanism; experiments can restrict
   /// reservations to the latency-sensitive foreground class.

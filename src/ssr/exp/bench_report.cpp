@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "ssr/common/check.h"
+#include "ssr/metrics/json.h"
 
 namespace ssr {
 
@@ -17,21 +18,6 @@ std::string num(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", value);
   return buf;
-}
-
-std::string escape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -55,7 +41,7 @@ void BenchReporter::write(std::ostream& os) const {
   os << "  \"records\": [\n";
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const BenchRecord& r = records_[i];
-    os << "    {\"name\": \"" << escape(r.name)
+    os << "    {\"name\": \"" << json_escape(r.name)
        << "\", \"items_per_second\": " << num(r.items_per_second)
        << ", \"wall_seconds\": " << num(r.wall_seconds) << '}'
        << (i + 1 < records_.size() ? "," : "") << '\n';

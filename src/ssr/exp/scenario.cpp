@@ -1,6 +1,7 @@
 #include "ssr/exp/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -101,7 +102,8 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
     if (std::strcmp(argv[i], "--scale") == 0) {
       args.scale = parse_double_arg("--scale", value_of(i));
       args.scale_set = true;
-      SSR_CHECK_MSG(args.scale >= 1.0, "--scale must be >= 1");
+      SSR_CHECK_MSG(std::isfinite(args.scale) && args.scale >= 1.0,
+                    "--scale must be a finite number >= 1");
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       args.seed = parse_u64_arg("--seed", value_of(i));
     } else if (std::strcmp(argv[i], "--jobs") == 0) {

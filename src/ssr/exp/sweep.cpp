@@ -13,6 +13,7 @@
 #include "ssr/common/check.h"
 #include "ssr/common/stats.h"
 #include "ssr/common/thread_pool.h"
+#include "ssr/metrics/json.h"
 
 namespace ssr {
 
@@ -135,21 +136,6 @@ std::string csv_num(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", value);
   return buf;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Minimal JSON string escaping shared by the metrics exporters (registry
-// JSON, Chrome-trace export).  Only escaping lives here — the exporters
-// hand-build their documents, which keeps the dependency surface at zero.
+// Minimal JSON string escaping shared by every JSON writer (registry JSON,
+// Chrome-trace export, sweep summaries, bench reports).  Only escaping lives
+// here — the writers hand-build their documents, which keeps the dependency
+// surface at zero.
 #pragma once
 
 #include <iomanip>

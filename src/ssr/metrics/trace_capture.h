@@ -5,7 +5,7 @@
 // pull from the live Engine — the submitting job's name/priority/tenant, the
 // data-locality flag of a starting attempt, the full Reservation of a
 // reserve, a stage's parent list.  Every consumer-side chain (the RunResult
-// fold, the SlotLedger invariant audit, the Chrome-trace exporter) is a
+// fold, the ReplayAuditor invariant audit, the Chrome-trace exporter) is a
 // TraceConsumer over those records, so one implementation serves both a live
 // run (TraceFanOut) and a capture re-driven from file (TraceReplayer), with
 // no Engine and no re-simulation — see exp/trace_replay.h for the RunResult

@@ -1,7 +1,7 @@
 // Algorithm 1's per-slot state machine and its slot-time accounting, as the
 // event stream's consumers see it.  The RunResult fold (exp/trace_replay.h)
-// and the invariant ledger (audit/slot_ledger.h) each hold a SlotModel and
-// move it at the transitions the events mark.  A move accrues the time since
+// and the invariant audit (audit/trace_replay_auditor.h) each hold a
+// SlotModel and move it at the transitions the events mark.  A move accrues the time since
 // the slot's last move with Cluster::accrue's expression, and the totals sum
 // the slots in id order like Cluster's, so a model driven by a run's events
 // equals that run's Cluster bit for bit; ScenarioHarness::collect and
@@ -10,7 +10,7 @@
 //
 // The model checks nothing but slot ids.  It applies any move, legal or not,
 // so each consumer decides what an illegal transition means (the fold
-// throws, the ledger records a violation) and one bad event does not cascade.
+// throws, the audit records a violation) and one bad event does not cascade.
 #pragma once
 
 #include <cstdint>

@@ -40,7 +40,7 @@ class ReplayAuditor {
         kind == TraceEventKind::kFailed) {
       seen_++;
     }
-    // BAD: kFinished never handled; the ledger audit skips its transition.
+    // BAD: kFinished never handled; the invariant audit skips its transition.
   }
 
  private:

@@ -7,13 +7,15 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ssr/audit/invariant_auditor.h"
-#include "ssr/audit/slot_ledger.h"
+#include "ssr/audit/trace_replay_auditor.h"
 #include "ssr/common/check.h"
 #include "ssr/core/reservation_manager.h"
 #include "ssr/exp/scenario.h"
+#include "ssr/metrics/trace_capture.h"
 #include "ssr/sched/engine.h"
 #include "ssr/sim/failure_injector.h"
 #include "ssr/workload/mlbench.h"
@@ -25,8 +27,7 @@ namespace {
 
 using audit::AuditOptions;
 using audit::InvariantAuditor;
-using audit::LedgerRelease;
-using audit::SlotLedger;
+using audit::ReplayAuditor;
 using audit::Violation;
 
 // --- Helpers ----------------------------------------------------------------
@@ -59,221 +60,340 @@ TaskId task_of(StageId stage, std::uint32_t index, std::uint32_t attempt = 0) {
   return TaskId{stage, index, attempt};
 }
 
-// --- Seeded bugs, ledger level ----------------------------------------------
-// Each test feeds one illegal event sequence and asserts the exact
-// invariant id; a distinct id per failure mode is the auditor's contract.
+// --- Event builders ---------------------------------------------------------
+
+TraceEvent event(TraceEventKind kind, SimTime time) {
+  TraceEvent e;
+  e.kind = kind;
+  e.time = time;
+  return e;
+}
+
+TraceEvent submit_job(JobId job, int priority, SimTime time) {
+  TraceEvent e = event(TraceEventKind::kJobSubmitted, time);
+  e.job = job;
+  e.priority = priority;
+  return e;
+}
+
+/// `parents` are stage indexes within the stage's job.
+TraceEvent submit_stage(StageId stage, std::vector<std::uint32_t> parents,
+                        SimTime time) {
+  TraceEvent e = event(TraceEventKind::kStageSubmitted, time);
+  e.stage = stage;
+  e.parents = std::move(parents);
+  return e;
+}
+
+TraceEvent stage_event(TraceEventKind kind, StageId stage, SimTime time) {
+  TraceEvent e = event(kind, time);
+  e.stage = stage;
+  return e;
+}
+
+TraceEvent task_event(TraceEventKind kind, SlotId slot, TaskId task,
+                      SimTime time) {
+  TraceEvent e = event(kind, time);
+  e.slot = slot;
+  e.task = task;
+  return e;
+}
+
+TraceEvent start(SlotId slot, TaskId task, SimTime time) {
+  return task_event(TraceEventKind::kTaskStarted, slot, task, time);
+}
+
+TraceEvent finish(SlotId slot, TaskId task, SimTime time) {
+  return task_event(TraceEventKind::kTaskFinished, slot, task, time);
+}
+
+TraceEvent slot_event(TraceEventKind kind, SlotId slot, SimTime time) {
+  TraceEvent e = event(kind, time);
+  e.slot = slot;
+  return e;
+}
+
+TraceEvent reserve(SlotId slot, JobId job, int priority, SimTime deadline,
+                   SimTime time) {
+  TraceEvent e = slot_event(TraceEventKind::kSlotReserved, slot, time);
+  e.job = job;
+  e.priority = priority;
+  e.deadline = deadline;
+  return e;
+}
+
+TraceEvent release(SlotId slot, ReservationEndReason reason, SimTime time) {
+  TraceEvent e = slot_event(TraceEventKind::kReservationReleased, slot, time);
+  e.reason = reason;
+  return e;
+}
+
+/// A ReplayAuditor over a two-slot cluster, fed `events` in order.
+ReplayAuditor audited(const std::vector<TraceEvent>& events) {
+  TraceHeader header;
+  header.num_nodes = 1;
+  header.num_slots = 2;
+  ReplayAuditor auditor;
+  auditor.on_trace_begin(header);
+  for (const TraceEvent& e : events) auditor.on_trace_event(e);
+  return auditor;
+}
+
+// --- Seeded bugs, event level ------------------------------------------------
+// Each test feeds ReplayAuditor one illegal event sequence and asserts the
+// exact invariant id; a distinct id per failure mode is the auditor's
+// contract.  The suite is named for the slot ledger the auditor keeps (its
+// SlotModel and its stage sets).  A claim is a start on a reserved slot, and
+// its priority is the one the job was submitted with.
 
 TEST(SlotLedgerSeededBug, DoubleReserveIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0);
-  ledger.on_reserve(kSlot0, kJobB, 5, kTimeInfinity, 2.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0),
+      reserve(kSlot0, kJobB, 5, kTimeInfinity, 2.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kDoubleReserve});
 }
 
-TEST(SlotLedgerSeededBug, ClaimWithoutReservationIsDoubleClaim) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_claim(kSlot0, task_of(kStageA0, 0), 10, 1.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
-            std::vector<std::string>{audit::kDoubleClaim});
-}
-
 TEST(SlotLedgerSeededBug, ClaimAfterFirstClaimIsDoubleClaim) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0);
-  ledger.on_claim(kSlot0, task_of(kStageA0, 0), 10, 2.0);
-  ASSERT_TRUE(ledger.clean());
-  ledger.on_claim(kSlot0, task_of(kStageA0, 1), 10, 3.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
-            std::vector<std::string>{audit::kDoubleClaim});
+  // As events, a second claim of one reservation is a start on the slot
+  // the first claim made Busy.
+  std::vector<TraceEvent> events = {
+      submit_job(kJobA, 10, 0.0),
+      submit_stage(kStageA0, {}, 0.0),
+      reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0),
+      start(kSlot0, task_of(kStageA0, 0), 2.0),
+  };
+  ASSERT_TRUE(audited(events).clean());
+  events.push_back(start(kSlot0, task_of(kStageA0, 1), 3.0));
+  ASSERT_EQ(ids_of(audited(events).violations()),
+            std::vector<std::string>{audit::kTaskLifecycle});
 }
 
 TEST(SlotLedgerSeededBug, ClaimPastDeadlineIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_reserve(kSlot0, kJobA, 10, /*deadline=*/5.0, 1.0);
-  ledger.on_claim(kSlot0, task_of(kStageA0, 0), 10, 6.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      submit_job(kJobA, 10, 0.0),
+      submit_stage(kStageA0, {}, 0.0),
+      reserve(kSlot0, kJobA, 10, /*deadline=*/5.0, 1.0),
+      start(kSlot0, task_of(kStageA0, 0), 6.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kExpiredClaim});
 }
 
 TEST(SlotLedgerSeededBug, LowerPriorityStealIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageB0, {}, 0.0);
-  ledger.on_reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0);
-  ledger.on_claim(kSlot0, task_of(kStageB0, 0), /*priority=*/5, 2.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      submit_job(kJobB, /*priority=*/5, 0.0),
+      submit_stage(kStageB0, {}, 0.0),
+      reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0),
+      start(kSlot0, task_of(kStageB0, 0), 2.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kReservedSlotPriority});
 }
 
 TEST(SlotLedgerSeededBug, EqualPriorityStealIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageB0, {}, 0.0);
-  ledger.on_reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0);
-  ledger.on_claim(kSlot0, task_of(kStageB0, 0), /*priority=*/10, 2.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      submit_job(kJobB, /*priority=*/10, 0.0),
+      submit_stage(kStageB0, {}, 0.0),
+      reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0),
+      start(kSlot0, task_of(kStageB0, 0), 2.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kReservedSlotPriority});
 }
 
 TEST(SlotLedgerSeededBug, ReservingJobAndHigherPriorityMayClaim) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_stage_submitted(kStageB0, {}, 0.0);
-  // The reserving job itself.
-  ledger.on_reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0);
-  ledger.on_claim(kSlot0, task_of(kStageA0, 0), 10, 2.0);
-  ledger.on_finish(kSlot0, task_of(kStageA0, 0), 3.0);
-  // A strictly higher-priority foreign job (override).
-  ledger.on_reserve(kSlot0, kJobB, 5, kTimeInfinity, 4.0);
-  ledger.on_claim(kSlot0, task_of(kStageA0, 1), /*priority=*/10, 5.0);
-  EXPECT_TRUE(ledger.clean()) << audit::format_report(ledger.violations());
+  const ReplayAuditor a = audited({
+      submit_job(kJobA, 10, 0.0),
+      submit_stage(kStageA0, {}, 0.0),
+      submit_stage(kStageB0, {}, 0.0),
+      // The reserving job itself.
+      reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0),
+      start(kSlot0, task_of(kStageA0, 0), 2.0),
+      finish(kSlot0, task_of(kStageA0, 0), 3.0),
+      // A strictly higher-priority foreign job (override).
+      reserve(kSlot0, kJobB, 5, kTimeInfinity, 4.0),
+      start(kSlot0, task_of(kStageA0, 1), 5.0),
+  });
+  EXPECT_TRUE(a.clean()) << audit::format_report(a.violations());
 }
 
 TEST(SlotLedgerSeededBug, OutOfOrderEventDispatchIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_start(kSlot0, task_of(kStageA0, 0), 10.0);
-  // The finish event is dispatched with a timestamp in the past.
-  ledger.on_finish(kSlot0, task_of(kStageA0, 0), 9.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      submit_stage(kStageA0, {}, 0.0),
+      start(kSlot0, task_of(kStageA0, 0), 10.0),
+      // The finish event is dispatched with a timestamp in the past.
+      finish(kSlot0, task_of(kStageA0, 0), 9.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kTimeMonotonic});
 }
 
+TEST(SlotLedgerSeededBug, JobAndRunEventsBackInTimeAreFlagged) {
+  // The clock check covers every kind, including the ones that move no
+  // slot and no barrier.
+  for (const TraceEventKind kind :
+       {TraceEventKind::kJobSubmitted, TraceEventKind::kJobFinished,
+        TraceEventKind::kTaskRequeued, TraceEventKind::kRunComplete}) {
+    const ReplayAuditor a = audited({
+        submit_stage(kStageA0, {}, 5.0),
+        event(kind, 4.0),
+    });
+    EXPECT_EQ(ids_of(a.violations()),
+              std::vector<std::string>{audit::kTimeMonotonic})
+        << "kind " << static_cast<int>(kind);
+  }
+}
+
 TEST(SlotLedgerSeededBug, StageSubmittedBeforeParentFinishes) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  // Downstream stage's barrier "clears" while the parent is still running.
-  ledger.on_stage_submitted(StageId{kJobA, 1}, {kStageA0}, 1.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      submit_stage(kStageA0, {}, 0.0),
+      // Downstream stage's barrier "clears" while the parent is running.
+      submit_stage(StageId{kJobA, 1}, {kStageA0.index}, 1.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kBarrierOrdering});
 }
 
 TEST(SlotLedgerSeededBug, TaskOfUnsubmittedStageIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_start(kSlot0, task_of(kStageA0, 0), 1.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({start(kSlot0, task_of(kStageA0, 0), 1.0)});
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kBarrierOrdering});
 }
 
 TEST(SlotLedgerSeededBug, DoubleStartOnBusySlotIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_start(kSlot0, task_of(kStageA0, 0), 1.0);
-  ledger.on_start(kSlot0, task_of(kStageA0, 1), 2.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      submit_stage(kStageA0, {}, 0.0),
+      start(kSlot0, task_of(kStageA0, 0), 1.0),
+      start(kSlot0, task_of(kStageA0, 1), 2.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kTaskLifecycle});
 }
 
 TEST(SlotLedgerSeededBug, FinishOfTaskNotOnSlotIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_start(kSlot0, task_of(kStageA0, 0), 1.0);
-  ledger.on_finish(kSlot0, task_of(kStageA0, 1), 2.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      submit_stage(kStageA0, {}, 0.0),
+      start(kSlot0, task_of(kStageA0, 0), 1.0),
+      finish(kSlot0, task_of(kStageA0, 1), 2.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kTaskLifecycle});
 }
 
 TEST(SlotLedgerSeededBug, DoubleReleaseIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0);
-  ledger.on_release(kSlot0, LedgerRelease::Released, 2.0);
-  ledger.on_release(kSlot0, LedgerRelease::Released, 3.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      reserve(kSlot0, kJobA, 10, kTimeInfinity, 1.0),
+      release(kSlot0, ReservationEndReason::Released, 2.0),
+      release(kSlot0, ReservationEndReason::Released, 3.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kDoubleRelease});
 }
 
 TEST(SlotLedgerSeededBug, EarlyExpiryIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_reserve(kSlot0, kJobA, 10, /*deadline=*/10.0, 1.0);
-  ledger.on_release(kSlot0, LedgerRelease::Expired, 7.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      reserve(kSlot0, kJobA, 10, /*deadline=*/10.0, 1.0),
+      release(kSlot0, ReservationEndReason::Expired, 7.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kExpiryTime});
 }
 
 TEST(SlotLedgerSeededBug, ExpiryExactlyAtDeadlineIsClean) {
-  SlotLedger ledger(2);
-  ledger.on_reserve(kSlot0, kJobA, 10, /*deadline=*/10.0, 1.0);
-  ledger.on_release(kSlot0, LedgerRelease::Expired, 10.0);
-  EXPECT_TRUE(ledger.clean()) << audit::format_report(ledger.violations());
+  const ReplayAuditor a = audited({
+      reserve(kSlot0, kJobA, 10, /*deadline=*/10.0, 1.0),
+      release(kSlot0, ReservationEndReason::Expired, 10.0),
+  });
+  EXPECT_TRUE(a.clean()) << audit::format_report(a.violations());
 }
 
 TEST(SlotLedgerSeededBug, CleanLifecycleHasNoViolations) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_start(kSlot0, task_of(kStageA0, 0), 0.0);
-  ledger.on_start(SlotId{1}, task_of(kStageA0, 1), 0.0);
-  ledger.on_finish(kSlot0, task_of(kStageA0, 0), 4.0);
-  ledger.on_reserve(kSlot0, kJobA, 10, 20.0, 4.0);
-  ledger.on_finish(SlotId{1}, task_of(kStageA0, 1), 5.0);
-  ledger.on_stage_finished(kStageA0, 5.0);
-  ledger.on_stage_submitted(StageId{kJobA, 1}, {kStageA0}, 5.0);
-  ledger.on_claim(kSlot0, task_of(StageId{kJobA, 1}, 0), 10, 5.0);
-  ledger.on_finish(kSlot0, task_of(StageId{kJobA, 1}, 0), 9.0);
-  ledger.on_stage_finished(StageId{kJobA, 1}, 9.0);
-  EXPECT_TRUE(ledger.clean()) << audit::format_report(ledger.violations());
+  const StageId a1{kJobA, 1};
+  const ReplayAuditor a = audited({
+      submit_job(kJobA, 10, 0.0),
+      submit_stage(kStageA0, {}, 0.0),
+      start(kSlot0, task_of(kStageA0, 0), 0.0),
+      start(SlotId{1}, task_of(kStageA0, 1), 0.0),
+      finish(kSlot0, task_of(kStageA0, 0), 4.0),
+      reserve(kSlot0, kJobA, 10, 20.0, 4.0),
+      finish(SlotId{1}, task_of(kStageA0, 1), 5.0),
+      stage_event(TraceEventKind::kStageFinished, kStageA0, 5.0),
+      submit_stage(a1, {kStageA0.index}, 5.0),
+      start(kSlot0, task_of(a1, 0), 5.0),
+      finish(kSlot0, task_of(a1, 0), 9.0),
+      stage_event(TraceEventKind::kStageFinished, a1, 9.0),
+  });
+  EXPECT_TRUE(a.clean()) << audit::format_report(a.violations());
 }
 
 // --- Seeded bugs, failure lifecycle ------------------------------------------
 
 TEST(SlotLedgerSeededBug, FailureOfUndrainedBusySlotIsFlagged) {
   // The engine must kill the running attempt before marking a slot Dead; a
-  // failure event arriving while the mirror still shows Busy means a task
+  // failure event arriving while the model still shows Busy means a task
   // silently vanished with its slot.
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_start(kSlot0, task_of(kStageA0, 0), 1.0);
-  ledger.on_fail(kSlot0, 2.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      submit_stage(kStageA0, {}, 0.0),
+      start(kSlot0, task_of(kStageA0, 0), 1.0),
+      slot_event(TraceEventKind::kSlotFailed, kSlot0, 2.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kDeadSlotUse});
 }
 
 TEST(SlotLedgerSeededBug, ReserveOnDeadSlotIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_fail(kSlot0, 1.0);
-  ledger.on_reserve(kSlot0, kJobA, 10, kTimeInfinity, 2.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      slot_event(TraceEventKind::kSlotFailed, kSlot0, 1.0),
+      reserve(kSlot0, kJobA, 10, kTimeInfinity, 2.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kDeadSlotUse});
 }
 
 TEST(SlotLedgerSeededBug, StartOnDeadSlotIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_fail(kSlot0, 1.0);
-  ledger.on_start(kSlot0, task_of(kStageA0, 0), 2.0);
-  ASSERT_TRUE(has_id(ledger.violations(), audit::kDeadSlotUse))
-      << audit::format_report(ledger.violations());
+  const ReplayAuditor a = audited({
+      submit_stage(kStageA0, {}, 0.0),
+      slot_event(TraceEventKind::kSlotFailed, kSlot0, 1.0),
+      start(kSlot0, task_of(kStageA0, 0), 2.0),
+  });
+  ASSERT_TRUE(has_id(a.violations(), audit::kDeadSlotUse))
+      << audit::format_report(a.violations());
 }
 
 TEST(SlotLedgerSeededBug, RecoveryOfLiveSlotIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_recover(kSlot0, 1.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      slot_event(TraceEventKind::kSlotRecovered, kSlot0, 1.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kDeadSlotUse});
 }
 
 TEST(SlotLedgerSeededBug, InvalidationOfUnfinishedStageIsFlagged) {
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_stage_invalidated(kStageA0, 1.0);
-  ASSERT_EQ(ids_of(ledger.violations()),
+  const ReplayAuditor a = audited({
+      submit_stage(kStageA0, {}, 0.0),
+      stage_event(TraceEventKind::kStageInvalidated, kStageA0, 1.0),
+  });
+  ASSERT_EQ(ids_of(a.violations()),
             std::vector<std::string>{audit::kBarrierOrdering});
 }
 
 TEST(SlotLedgerSeededBug, CleanFailureLifecycleHasNoViolations) {
   // kill -> fail -> recover -> restart -> finish: the legal sequence the
   // engine emits for a transient slot failure with a re-run.
-  SlotLedger ledger(2);
-  ledger.on_stage_submitted(kStageA0, {}, 0.0);
-  ledger.on_start(kSlot0, task_of(kStageA0, 0), 0.0);
-  ledger.on_kill(kSlot0, task_of(kStageA0, 0), 3.0);
-  ledger.on_fail(kSlot0, 3.0);
-  ledger.on_recover(kSlot0, 8.0);
-  ledger.on_start(kSlot0, task_of(kStageA0, 0), 8.0);
-  ledger.on_finish(kSlot0, task_of(kStageA0, 0), 12.0);
-  ledger.on_stage_finished(kStageA0, 12.0);
-  EXPECT_TRUE(ledger.clean()) << audit::format_report(ledger.violations());
+  const ReplayAuditor a = audited({
+      submit_stage(kStageA0, {}, 0.0),
+      start(kSlot0, task_of(kStageA0, 0), 0.0),
+      task_event(TraceEventKind::kTaskKilled, kSlot0, task_of(kStageA0, 0),
+                 3.0),
+      slot_event(TraceEventKind::kSlotFailed, kSlot0, 3.0),
+      slot_event(TraceEventKind::kSlotRecovered, kSlot0, 8.0),
+      start(kSlot0, task_of(kStageA0, 0), 8.0),
+      finish(kSlot0, task_of(kStageA0, 0), 12.0),
+      stage_event(TraceEventKind::kStageFinished, kStageA0, 12.0),
+  });
+  EXPECT_TRUE(a.clean()) << audit::format_report(a.violations());
 }
 
 // --- Seeded bugs, end-to-end through the engine -----------------------------
@@ -320,6 +440,9 @@ TEST(InvariantAuditorSeededBug, LowerPriorityStealOfReservedSlotIsCaught) {
   engine.set_reservation_hook(std::make_unique<ApproveAnythingHook>());
   InvariantAuditor auditor(collect_options());
   auditor.attach(engine);
+  TraceRecorder recorder(1, 1, /*seed=*/1, "approve-anything",
+                         /*counts_expired=*/false);
+  engine.add_observer(&recorder);
 
   engine.submit(one_stage_job("fg", /*priority=*/10, 1, 5.0));
   engine.submit(one_stage_job("bg", /*priority=*/0, 1, 20.0));
@@ -329,6 +452,11 @@ TEST(InvariantAuditorSeededBug, LowerPriorityStealOfReservedSlotIsCaught) {
   // high-priority job, then approves the low-priority job's task on it.
   ASSERT_TRUE(has_id(auditor.violations(), audit::kReservedSlotPriority))
       << auditor.report();
+
+  // The capture of the buggy run replays into the same report.
+  ReplayAuditor replayed;
+  TraceReplayer::from_bytes(recorder.serialize()).replay({&replayed});
+  EXPECT_EQ(audit::format_report(replayed.violations()), auditor.report());
 }
 
 TEST(InvariantAuditorSeededBug, ThrowModeRaisesCheckErrorAtTheViolation) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ssr/common/check.h"
+#include "ssr/exp/bench_report.h"
 #include "ssr/exp/scenario.h"
 #include "ssr/exp/sweep.h"
 
@@ -93,6 +94,8 @@ TEST(BenchArgs, AcceptsJobsCsvJsonFlags) {
 TEST(BenchArgs, RejectsNonPositiveScaleAndJobs) {
   expect_parse_throws({"--scale", "0"});
   expect_parse_throws({"--scale", "-2"});
+  expect_parse_throws({"--scale", "inf"});
+  expect_parse_throws({"--scale", "infinity"});
   expect_parse_throws({"--jobs", "0"});
   expect_parse_throws({"--jobs", "-3"});
   expect_parse_throws({"--jobs", "100000"});  // implausibly large
@@ -185,7 +188,7 @@ TEST(Summarize, GroupsByLabelInFirstAppearanceOrder) {
 TEST(SweepEmission, CsvQuotesAndTagColumns) {
   TrialResult tr;
   tr.index = 0;
-  tr.label = "has,comma";
+  tr.label = "has,comma\ttab";
   tr.tags = {{"knob", "0.5"}};
   tr.seed = 9;
   JobResult j;
@@ -195,14 +198,25 @@ TEST(SweepEmission, CsvQuotesAndTagColumns) {
   std::ostringstream os;
   write_trials_csv(os, {tr});
   const std::string out = os.str();
-  EXPECT_NE(out.find("\"has,comma\""), std::string::npos)
+  EXPECT_NE(out.find("\"has,comma\ttab\""), std::string::npos)
       << "labels containing commas must be quoted:\n" << out;
   EXPECT_NE(out.find("tag:knob"), std::string::npos) << out;
 
+  // JSON strings may not hold raw control characters.
   std::ostringstream js;
   write_summary_json(js, summarize({tr}));
-  EXPECT_NE(js.str().find("\"has,comma\""), std::string::npos);
+  EXPECT_NE(js.str().find("\"has,comma\\u0009tab\""), std::string::npos)
+      << js.str();
   EXPECT_NE(js.str().find("\"jct\""), std::string::npos);
+}
+
+TEST(BenchReport, RecordNamesAreJsonEscaped) {
+  BenchReporter reporter;
+  reporter.add(BenchRecord{"has\ttab", 1.0, 2.0});
+  std::ostringstream os;
+  reporter.write(os);
+  EXPECT_NE(os.str().find("\"has\\u0009tab\""), std::string::npos)
+      << os.str();
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // The contract under test (metrics/trace_capture.h, exp/trace_replay.h):
 // a capture of a run's observer stream is *sufficient* to re-drive every
 // consumer-side chain without an Engine — the RunResult/digest pipeline, the
-// SlotLedger invariant audit, the Chrome-trace export — and the
+// ReplayAuditor invariant audit, the Chrome-trace export — and the
 // reconstruction is bit-identical, not approximately equal.  The live run
 // feeds the same consumers through a TraceFanOut, and ScenarioHarness checks
 // the live fold against the Engine's own accounting, so a replayed digest
@@ -13,7 +13,7 @@
 //  * 100 seeded random round-trips (70 closed trials mixing reservation
 //    policies, node-failure schedules and heartbeat-detector configs; 30
 //    open-arrival multi-tenant trials) where the replayed digest must equal
-//    the live digest byte for byte and the replayed ledger must stay clean;
+//    the live digest byte for byte and the replayed audit must stay clean;
 //  * the four committed golden scenarios, whose replayed digests must equal
 //    the *committed* golden files — a capture is as authoritative as the
 //    simulation that produced it;
@@ -86,14 +86,14 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
-/// Replay a capture through the RunResult builder and the ledger auditor;
-/// a capture of a clean run must replay clean.
+/// Replay a capture through the RunResult builder and the invariant
+/// auditor; a capture of a clean run must replay clean.
 RunResult replay_clean(const std::string& path) {
   const TraceReplayer replayer = TraceReplayer::from_file(path);
   ReplayResultBuilder builder;
   audit::ReplayAuditor auditor;
   replayer.replay({&builder, &auditor});
-  EXPECT_TRUE(auditor.clean()) << "replayed ledger tripped on " << path;
+  EXPECT_TRUE(auditor.clean()) << "replayed audit tripped on " << path;
   EXPECT_TRUE(builder.complete()) << "capture never reached run-complete";
   return builder.result();
 }
@@ -647,7 +647,7 @@ TEST(TraceCaptureRejection, SlotBeyondTheHeaderFailsTheReplayAudit) {
 }
 
 TEST(TraceCaptureRejection, EventBeforeTraceBeginFailsTheReplayAudit) {
-  // A consumer fed an event before its header has no ledger to apply it to;
+  // A consumer fed an event before its header has no model to apply it to;
   // the misuse must be named, not read through an empty optional.
   TraceEvent start;
   start.kind = TraceEventKind::kTaskStarted;
@@ -764,7 +764,7 @@ TEST(TraceCaptureRejection, MissingFile) {
 //
 // The parser's contract on hostile bytes: from_bytes accepts or throws
 // CheckError; an accepted capture replays exactly the events it counted; and
-// the RunResult fold and the ledger audit each finish or throw CheckError.
+// the RunResult fold and the invariant audit each finish or throw CheckError.
 // Anything else (another exception, a crash, a sanitizer report) fails.
 
 struct CountingConsumer : TraceConsumer {

@@ -2,7 +2,7 @@
 //
 // Replays the capture through the same consumer chain the record/replay
 // test suite uses — ReplayResultBuilder (bit-identical RunResult
-// reconstruction) plus ReplayAuditor (SlotLedger invariant audit) — then
+// reconstruction) plus ReplayAuditor (the invariant audit) — then
 // formats the rebuilt result through exp/run_digest.h and byte-compares it
 // against the committed golden digest.  A pass proves three things at once:
 // the fixture still parses under the current schema, the captured run still

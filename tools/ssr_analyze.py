@@ -33,8 +33,9 @@ Rules (see DESIGN.md §12 for the hazard-class -> runtime-suite mapping):
   observer-schema     every virtual on_* of EngineObserver must be
                       overridden by TraceStream (the one callback ->
                       TraceEvent conversion), each with its own
-                      TraceEventKind, and ReplayAuditor (the one event ->
-                      SlotLedger mapping) must handle every kind.
+                      TraceEventKind, and ReplayAuditor (the one
+                      event-stream invariant checker) must handle every
+                      kind.
   sim-time-arith      float where simulated time flows (SimTime is double;
                       float truncates event timestamps), integer variables
                       assigned from time-typed expressions without an
@@ -1389,7 +1390,7 @@ def rule_observer_schema(program: Program):
                     replay_auditor.path, replay_auditor.line,
                     "observer-schema",
                     f"TraceEventKind::{k} is never handled by ReplayAuditor; "
-                    "the ledger audit skips its transition"))
+                    "the invariant audit skips its transition"))
     return findings
 
 
